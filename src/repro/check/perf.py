@@ -129,8 +129,23 @@ HOT_PERIMETER: tuple[HotKernel, ...] = (
     ),
     HotKernel(
         "repro.metrics.distances.bfs_distances",
-        "chunked multi-source BFS distance kernel",
+        "dense-mode consumer of the bit-parallel BFS (the (S, N) matrix)",
         contracts=(("dist", "int32"),),
+    ),
+    HotKernel(
+        "repro.metrics.distances._bit_levels",
+        "bit-parallel multi-source BFS level kernel (64 sources per word)",
+        contracts=(("frontier", "uint64"), ("seen", "uint64"), ("grow", "uint64")),
+    ),
+    HotKernel(
+        "repro.metrics.distances._sweep",
+        "reduction-mode consumer: eccentricities + distance total per sweep",
+        contracts=(("ecc", "int64"),),
+    ),
+    HotKernel(
+        "repro.metrics.clustering.intercluster_distances",
+        "SCC-contracted 0/1 I-distance BFS (one source bit per module)",
+        contracts=(("seen", "uint64"), ("out", "int32"), ("comp_module", "int64")),
     ),
     HotKernel(
         "repro.sim.simulator.PacketSimulator.run",

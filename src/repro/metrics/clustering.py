@@ -17,15 +17,13 @@ then the off-module links are exactly the super-generator links.
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 import scipy.sparse as sp
 
 from repro.core.ipgraph import IPGraph
 from repro.core.network import Network
 
-from .distances import as_csr, bfs_distances
+from .distances import _Arcs, _bit_levels, _in_arcs, _source_bits
 
 __all__ = [
     "ModuleAssignment",
@@ -85,47 +83,19 @@ class ModuleAssignment:
         return np.nonzero(self.module_of == module)[0]
 
     def modules_internally_connected(self) -> bool:
-        """True iff every module induces a connected subgraph.
+        """True iff every module induces a strongly connected subgraph."""
+        return self._strong_components()[0] == self.num_modules
 
-        When this holds, inter-cluster distances equal distances in the
-        module quotient graph, which is how
-        :func:`intercluster_distances` computes them exactly and fast.
-        """
-        csr = self.net.adjacency_csr()
-        mod = self.module_of
-        for m in range(self.num_modules):
-            nodes = np.nonzero(mod == m)[0]
-            if len(nodes) <= 1:
-                continue
-            node_set = set(nodes.tolist())
-            seen = {int(nodes[0])}
-            stack = [int(nodes[0])]
-            while stack:
-                u = stack.pop()
-                for v in csr.indices[csr.indptr[u] : csr.indptr[u + 1]]:
-                    v = int(v)
-                    if v in node_set and v not in seen:
-                        seen.add(v)
-                        stack.append(v)
-            if len(seen) != len(nodes):
-                return False
-        return True
-
-    def quotient_csr(self) -> sp.csr_matrix:
-        """0/1 adjacency of the module quotient graph (loops removed)."""
-        csr = self.net.adjacency_csr()
-        coo = csr.tocoo()
-        ms = self.module_of[coo.row]
-        md = self.module_of[coo.col]
-        keep = ms != md
-        k = self.num_modules
-        mat = sp.coo_matrix(
-            (np.ones(int(keep.sum()), dtype=np.int8), (ms[keep], md[keep])),
-            shape=(k, k),
-        ).tocsr()
-        mat.sum_duplicates()
-        mat.data[:] = 1
-        return mat
+    def _strong_components(self) -> tuple[int, np.ndarray]:
+        """Strongly connected components of the intra-module arcs (none
+        spans two modules, so each module owns at least one)."""
+        coo = self.net.adjacency_csr().tocoo()
+        intra = self.module_of[coo.row] == self.module_of[coo.col]
+        adj = sp.csr_matrix(
+            (np.ones(int(intra.sum()), dtype=np.int8), (coo.row[intra], coo.col[intra])),
+            shape=(self.net.num_nodes,) * 2,
+        )
+        return sp.csgraph.connected_components(adj, directed=True, connection="strong")
 
 
 # ----------------------------------------------------------------------
@@ -223,63 +193,46 @@ def intercluster_degree(assignment: ModuleAssignment) -> float:
     return float((sums / sizes).max())
 
 
-def intercluster_distances(
-    assignment: ModuleAssignment, validate: bool = True
-) -> np.ndarray:
+def intercluster_distances(assignment: ModuleAssignment) -> np.ndarray:
     """Minimum off-module hop counts between all module pairs.
 
-    Exact when modules are internally connected (then the minimum number of
-    off-module traversals between two nodes equals the distance between
-    their modules in the quotient graph).  With ``validate=True`` this
-    precondition is checked and a 0/1-weighted search is used as a fallback
-    when it fails.
-
-    Returns an ``(M, M)`` int array over modules.
+    Returns the ``(M, M)`` int32 matrix whose ``[a, b]`` is the least number
+    of off-module arcs on any walk from module ``a`` to module ``b``
+    (on-module arcs cost 0), ``-1`` when none exists.  Exact on every
+    assignment, directed included: each module's intra-module strongly
+    connected components are contracted, then one bit-parallel BFS with a
+    source bit per module takes one cost-1 step per level and closes over
+    the cost-0 arcs in between.
     """
-    if validate and not assignment.modules_internally_connected():
-        return _zero_one_intermodule_distances(assignment)
-    q = assignment.quotient_csr()
-    return bfs_distances(q, np.arange(q.shape[0]))
+    ncomp, comp = assignment._strong_components()
+    comp_module = np.zeros(ncomp, dtype=np.int64)
+    comp_module[comp] = assignment.module_of
+    coo = assignment.net.adjacency_csr().tocoo()
+    tail, head = comp[coo.row], comp[coo.col]
+    keep = tail != head
+    tail, head = tail[keep], head[keep]
+    free = comp_module[tail] == comp_module[head]
 
+    def in_arcs(sel: np.ndarray) -> _Arcs:
+        ones = np.ones(int(sel.sum()), dtype=np.int8)
+        return _in_arcs(sp.coo_matrix((ones, (tail[sel], head[sel])), shape=(ncomp, ncomp)))
 
-def _zero_one_intermodule_distances(assignment: ModuleAssignment) -> np.ndarray:
-    """0/1-BFS fallback: per-module distances when modules are disconnected
-    internally (off-module edges cost 1, on-module edges cost 0)."""
-    csr = assignment.net.adjacency_csr()
-    mod = assignment.module_of
-    n = assignment.net.num_nodes
     k = assignment.num_modules
-    out = np.full((k, k), -1, dtype=np.int64)
-    indptr, indices = csr.indptr, csr.indices
-    for m in range(k):
-        dist = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
-        dq: deque[int] = deque()
-        for u in np.nonzero(mod == m)[0]:
-            dist[u] = 0
-            dq.appendleft(int(u))
-        while dq:
-            u = dq.popleft()
-            du = dist[u]
-            for v in indices[indptr[u] : indptr[u + 1]]:
-                w = 0 if mod[v] == mod[u] else 1
-                if du + w < dist[v]:
-                    dist[v] = du + w
-                    if w == 0:
-                        dq.appendleft(int(v))
-                    else:
-                        dq.append(int(v))
-        for mm in range(k):
-            sel = dist[mod == mm]
-            out[m, mm] = int(sel.min()) if len(sel) else -1
+    # components grouped by module: every module owns at least one
+    order = np.argsort(comp_module, kind="stable")
+    starts = np.searchsorted(comp_module[order], np.arange(k))
+    seen = np.zeros((k, (k + 63) // 64), dtype=np.uint64)
+    out = np.full((k, k), -1, dtype=np.int32)
+    for level, new in _bit_levels(in_arcs(~free), np.arange(ncomp), comp_module, k, in_arcs(free)):
+        fresh = np.bitwise_or.reduceat(new[order], starts, axis=0) & ~seen
+        seen |= fresh
+        np.copyto(out.T, level, where=_source_bits(fresh, k))
     return out
 
 
 def intercluster_diameter(assignment: ModuleAssignment) -> int:
     """I-diameter (§5.2): max over node pairs of minimum off-module hops."""
-    d = intercluster_distances(assignment)
-    if (d < 0).any():
-        raise ValueError("network is disconnected across modules")
-    return int(d.max())
+    return intercluster_summary(assignment).i_diameter
 
 
 def average_intercluster_distance(assignment: ModuleAssignment) -> float:
@@ -287,14 +240,7 @@ def average_intercluster_distance(assignment: ModuleAssignment) -> float:
 
     Weighted by module sizes: a pair inside one module contributes 0.
     """
-    d = intercluster_distances(assignment)
-    if (d < 0).any():
-        raise ValueError("network is disconnected across modules")
-    sizes = assignment.module_sizes.astype(np.float64)
-    n = float(assignment.net.num_nodes)
-    total = float(sizes @ d @ sizes)  # pairs within a module add 0
-    denom = n * (n - 1.0)
-    return total / denom if denom else 0.0
+    return intercluster_summary(assignment).avg_i_distance
 
 
 class InterclusterSummary:
@@ -318,11 +264,17 @@ class InterclusterSummary:
 
 
 def intercluster_summary(assignment: ModuleAssignment) -> InterclusterSummary:
-    """All Section-5 inter-cluster metrics in one call."""
+    """All Section-5 inter-cluster metrics, from one I-distance matrix."""
+    d = intercluster_distances(assignment)
+    if (d < 0).any():
+        raise ValueError("network is disconnected across modules")
+    sizes = assignment.module_sizes.astype(np.float64)
+    n = assignment.net.num_nodes
+    total = float(sizes @ d @ sizes)  # pairs within a module add 0
     return InterclusterSummary(
         i_degree=intercluster_degree(assignment),
-        i_diameter=intercluster_diameter(assignment),
-        avg_i_distance=average_intercluster_distance(assignment),
+        i_diameter=int(d.max()),
+        avg_i_distance=total / (n * (n - 1.0)) if n > 1 else 0.0,
         num_modules=assignment.num_modules,
         max_module_size=assignment.max_module_size,
     )

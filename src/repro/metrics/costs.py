@@ -14,12 +14,7 @@ from dataclasses import dataclass
 
 from repro.core.network import Network
 
-from .clustering import (
-    ModuleAssignment,
-    average_intercluster_distance,
-    intercluster_degree,
-    intercluster_diameter,
-)
+from .clustering import ModuleAssignment, intercluster_summary
 from .distances import average_distance, diameter
 
 __all__ = ["NetworkCosts", "dd_cost", "id_cost", "ii_cost", "measure_costs"]
@@ -97,14 +92,17 @@ def measure_costs(
     This is the slow-but-exact path used to validate the closed-form tables
     in :mod:`repro.analysis.formulas` on constructible sizes.
     """
+    # diameter first: on a disconnected graph its error is the one raised
+    diam = diameter(net, assume_vertex_transitive=assume_vertex_transitive)
+    inter = intercluster_summary(assignment)
     return NetworkCosts(
         name=net.name,
         num_nodes=net.num_nodes,
         degree=net.max_degree,
-        diameter=diameter(net, assume_vertex_transitive=assume_vertex_transitive),
+        diameter=diam,
         avg_distance=average_distance(net, assume_vertex_transitive=assume_vertex_transitive),
-        i_degree=intercluster_degree(assignment),
-        i_diameter=intercluster_diameter(assignment),
-        avg_i_distance=average_intercluster_distance(assignment),
-        max_module_size=assignment.max_module_size,
+        i_degree=inter.i_degree,
+        i_diameter=inter.i_diameter,
+        avg_i_distance=inter.avg_i_distance,
+        max_module_size=inter.max_module_size,
     )

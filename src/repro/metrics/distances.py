@@ -5,18 +5,22 @@ CSR adjacency).  They are the measurement side of the paper's topological
 comparisons: diameter and average distance feed the DD-cost of Figure 2 and
 the latency model of Section 5.
 
-Implementation notes (per the HPC-Python guides): distances are computed
-with vectorized frontier expansion on the CSR structure arrays — no Python
-per-edge loops — and all-pairs sweeps are chunked so memory stays bounded.
+Every distance comes from one bit-parallel multi-source BFS,
+:func:`_bit_levels` (MS-BFS, Then et al., PVLDB 2014; DESIGN.md §9): 64
+sources share a ``uint64`` word per node, and a level is one gather over
+in-neighbour lists plus one ``bitwise_or.reduceat``.  Only
+:func:`bfs_distances` scatters levels into a dense ``(S, N)`` matrix; the
+all-pairs reductions fold each level into per-source maxima and a total.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
+from repro import obs
 from repro.core.network import Network
 
 __all__ = [
@@ -33,7 +37,10 @@ __all__ = [
     "distance_summary",
 ]
 
-_UNREACHED = -1
+#: words per level's ``(nnz, W)`` gather in reduction sweeps (~256 KiB, cache-resident)
+_GATHER_WORDS = 1 << 15
+#: in-neighbour lists as ``reduceat`` operands (see :func:`_in_arcs`)
+_Arcs = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def as_csr(net: Network | sp.spmatrix) -> sp.csr_matrix:
@@ -43,32 +50,80 @@ def as_csr(net: Network | sp.spmatrix) -> sp.csr_matrix:
     return sp.csr_matrix(net)
 
 
+def _in_arcs(adj: sp.spmatrix) -> _Arcs:
+    """In-neighbour lists of ``adj`` (arc ``u -> v`` at ``[u, v]``) as
+    ``reduceat`` operands: tails grouped by head, row starts, empty rows."""
+    heads = sp.csr_matrix(adj.T)
+    indptr = heads.indptr
+    return heads.indices, indptr[:-1], indptr[:-1] == indptr[1:]
+
+
+def _gather_or(arcs: _Arcs, bits: np.ndarray) -> np.ndarray:
+    """OR of ``bits`` over each node's in-neighbours: one BFS step."""
+    tails, starts, empty = arcs
+    # one zero row past the gather keeps every start (empty trailing rows
+    # start at nnz) a valid reduceat index without cutting the last run
+    gathered = np.empty((len(tails) + 1, bits.shape[1]), dtype=np.uint64)
+    gathered[-1] = 0
+    np.take(bits, tails, axis=0, out=gathered[:-1])
+    out = np.bitwise_or.reduceat(gathered, starts, axis=0)
+    out[empty] = 0  # reduceat reads the next row's first arc for empty rows
+    return out
+
+
+def _bit_levels(
+    arcs: _Arcs, nodes: np.ndarray, bits: np.ndarray, width: int, zero_arcs: _Arcs | None = None
+) -> Iterator[tuple[int, np.ndarray]]:
+    """The bit-parallel level kernel: yields ``(level, new)`` per BFS level.
+
+    Source bit ``b`` (of ``width``) starts at node ``nodes[i]`` wherever
+    ``bits[i] == b``; bit ``b`` of word ``w`` is source ``64 w + b``.
+    ``new`` is an ``(N, W)`` ``uint64`` array of the sources first reaching
+    each node at ``level``.  With ``zero_arcs`` every level is closed over
+    those (cost-0) arcs before it is yielded, so ``arcs`` are the cost-1
+    steps of a 0/1-weighted search.
+    """
+    n = len(arcs[1])  # one row start per node
+    frontier = np.zeros((n, (width + 63) // 64), dtype=np.uint64)
+    np.bitwise_or.at(frontier, (nodes, bits >> 6), np.uint64(1) << (bits & 63).astype(np.uint64))
+    seen = frontier.copy()
+    reg = obs.registry()
+    reg.incr("metrics.bfs.sweeps")
+    reg.incr("metrics.bfs.sources", width)
+    level = 0
+    while frontier.any():
+        grow = frontier
+        while zero_arcs is not None and grow.any():
+            grow = _gather_or(zero_arcs, grow) & ~seen
+            seen |= grow
+            frontier |= grow
+        reg.incr("metrics.bfs.levels")
+        yield level, frontier
+        frontier = _gather_or(arcs, frontier) & ~seen
+        seen |= frontier
+        level += 1
+
+
+def _source_bits(words: np.ndarray, width: int) -> np.ndarray:
+    """``(..., W)`` little-endian bit-words as ``(..., width)`` booleans."""
+    raw = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+    return np.unpackbits(raw, axis=-1, count=width, bitorder="little").view(bool)
+
+
 def bfs_distances(
     net: Network | sp.spmatrix, sources: Sequence[int] | np.ndarray
 ) -> np.ndarray:
-    """Hop distances from each source to every node.
+    """Hop distances from each source to every node, along out-arcs.
 
-    Returns an ``(S, N)`` int array; unreachable entries are ``-1``.
-
-    The BFS expands all sources simultaneously level by level using boolean
-    frontier masks and CSR gathers, which is far faster in NumPy than
-    per-node queue BFS for the graph sizes used here.
+    Returns an ``(S, N)`` int32 array; unreachable entries are ``-1``.
+    Duplicate sources get duplicate rows.
     """
     csr = as_csr(net)
-    n = csr.shape[0]
     sources = np.asarray(sources, dtype=np.int64)
-    s = len(sources)
-    dist = np.full((s, n), _UNREACHED, dtype=np.int32)
-    dist[np.arange(s), sources] = 0
-    frontier = np.zeros((s, n), dtype=bool)
-    frontier[np.arange(s), sources] = True
-    level = 0
-    while frontier.any():
-        level += 1
-        # one sparse matmul expands every source's frontier simultaneously
-        reached = (sp.csr_matrix(frontier, dtype=np.int8) @ csr).toarray() > 0
-        frontier = reached & (dist == _UNREACHED)
-        dist[frontier] = level
+    dist = np.full((len(sources), csr.shape[0]), -1, dtype=np.int32)
+    arcs = _in_arcs(csr)
+    for level, new in _bit_levels(arcs, sources, np.arange(len(sources)), len(sources)):
+        np.copyto(dist.T, level, where=_source_bits(new, len(sources)))
     return dist
 
 
@@ -77,33 +132,53 @@ def single_source_distances(net: Network | sp.spmatrix, source: int = 0) -> np.n
     return bfs_distances(net, [source])[0]
 
 
+def _sweep(
+    net: Network | sp.spmatrix, sources: np.ndarray, chunk: int | None = None
+) -> tuple[np.ndarray, float, bool]:
+    """Reduction mode: each source's eccentricity, the average distance over
+    (source, other node) pairs, and whether every source reaches every node.
+    Sources run ``chunk`` at a time (default: sized by :data:`_GATHER_WORDS`).
+    """
+    csr = as_csr(net)
+    arcs = _in_arcs(csr)
+    step = chunk or 64 * max(1, _GATHER_WORDS // max(len(arcs[0]), 1))
+    ecc = np.zeros(len(sources), dtype=np.int64)
+    total = reached = 0
+    for start in range(0, len(sources), step):
+        block = sources[start : start + step]
+        for level, new in _bit_levels(arcs, block, np.arange(len(block)), len(block)):
+            count = int(np.bitwise_count(new).sum())
+            total += level * count
+            reached += count
+            hit = _source_bits(np.bitwise_or.reduce(new, axis=0), len(block))
+            ecc[start + np.flatnonzero(hit)] = level
+    pairs = len(sources) * (csr.shape[0] - 1)
+    # exact int / int division: the float bits do not depend on chunking
+    return ecc, total / pairs if pairs > 0 else 0.0, reached == len(sources) * csr.shape[0]
+
+
 def eccentricities(
     net: Network | sp.spmatrix,
     sources: Iterable[int] | None = None,
-    chunk: int = 64,
+    chunk: int | None = None,
 ) -> np.ndarray:
     """Eccentricity (max finite distance) of each source node.
 
     Raises ``ValueError`` if the graph is disconnected (an eccentricity
-    would be infinite).
+    would be infinite).  ``chunk`` is the number of sources per sweep.
     """
-    csr = as_csr(net)
-    n = csr.shape[0]
+    n = as_csr(net).shape[0]
     src = np.arange(n) if sources is None else np.asarray(list(sources), dtype=np.int64)
-    out = np.empty(len(src), dtype=np.int64)
-    for start in range(0, len(src), chunk):
-        block = src[start : start + chunk]
-        d = bfs_distances(csr, block)
-        if (d == _UNREACHED).any():
-            raise ValueError("graph is disconnected; eccentricity undefined")
-        out[start : start + len(block)] = d.max(axis=1)
-    return out
+    ecc, _, complete = _sweep(net, src, chunk)
+    if not complete:
+        raise ValueError("graph is disconnected; eccentricity undefined")
+    return ecc
 
 
 def diameter(
     net: Network | sp.spmatrix,
     assume_vertex_transitive: bool = False,
-    chunk: int = 64,
+    chunk: int | None = None,
 ) -> int:
     """Exact diameter (max over node pairs of hop distance).
 
@@ -119,26 +194,14 @@ def diameter(
 def average_distance(
     net: Network | sp.spmatrix,
     assume_vertex_transitive: bool = False,
-    chunk: int = 64,
+    chunk: int | None = None,
 ) -> float:
     """Average hop distance over ordered pairs of distinct nodes."""
-    csr = as_csr(net)
-    n = csr.shape[0]
-    if n < 2:
-        return 0.0
-    if assume_vertex_transitive:
-        d = bfs_distances(csr, [0])
-        if (d == _UNREACHED).any():
-            raise ValueError("graph is disconnected")
-        return float(d.sum()) / (n - 1)
-    total = 0
-    for start in range(0, n, chunk):
-        block = np.arange(start, min(start + chunk, n))
-        d = bfs_distances(csr, block)
-        if (d == _UNREACHED).any():
-            raise ValueError("graph is disconnected")
-        total += int(d.sum())
-    return total / (n * (n - 1))
+    n = as_csr(net).shape[0]
+    _, avg, complete = _sweep(net, np.arange(min(n, 1) if assume_vertex_transitive else n), chunk)
+    if not complete:
+        raise ValueError("graph is disconnected")
+    return avg
 
 
 def approx_average_distance(
@@ -154,15 +217,12 @@ def approx_average_distance(
     """
     csr = as_csr(net)
     n = csr.shape[0]
-    if n < 2:
-        return 0.0
     if samples >= n:
         return average_distance(csr)
-    srcs = rng.choice(n, size=samples, replace=False)
-    d = bfs_distances(csr, srcs)
-    if (d == _UNREACHED).any():
+    _, avg, complete = _sweep(csr, rng.choice(n, size=samples, replace=False))
+    if not complete:
         raise ValueError("graph is disconnected")
-    return float(d.sum()) / (samples * (n - 1))
+    return avg
 
 
 def distance_histogram(net: Network | sp.spmatrix, source: int = 0) -> dict[int, int]:
@@ -173,12 +233,8 @@ def distance_histogram(net: Network | sp.spmatrix, source: int = 0) -> dict[int,
 
 
 def is_connected(net: Network | sp.spmatrix) -> bool:
-    """True iff every node is reachable from node 0 (undirected view)."""
-    csr = as_csr(net)
-    if csr.shape[0] == 0:
-        return True
-    d = single_source_distances(csr, 0)
-    return bool((d >= 0).all())
+    """True iff every node is reachable from node 0 (along out-arcs)."""
+    return _sweep(net, np.arange(min(as_csr(net).shape[0], 1)))[2]
 
 
 class DistanceSummary:
@@ -202,15 +258,9 @@ class DistanceSummary:
 def distance_summary(
     net: Network | sp.spmatrix, assume_vertex_transitive: bool = False
 ) -> DistanceSummary:
-    """Diameter, average distance and radius in one pass."""
-    csr = as_csr(net)
-    n = csr.shape[0]
-    if assume_vertex_transitive:
-        d = bfs_distances(csr, [0])
-        if (d == _UNREACHED).any():
-            raise ValueError("graph is disconnected")
-        ecc = int(d.max())
-        return DistanceSummary(ecc, float(d.sum()) / max(n - 1, 1), ecc, n)
-    ecc = eccentricities(csr)
-    avg = average_distance(csr)
+    """Diameter, average distance and radius in one reduction sweep."""
+    n = as_csr(net).shape[0]
+    ecc, avg, complete = _sweep(net, np.arange(min(n, 1) if assume_vertex_transitive else n))
+    if not complete:
+        raise ValueError("graph is disconnected; eccentricity undefined")
     return DistanceSummary(int(ecc.max()), avg, int(ecc.min()), n)

@@ -6,7 +6,6 @@ import pytest
 from repro import networks as nw
 from repro.metrics.clustering import (
     ModuleAssignment,
-    _zero_one_intermodule_distances,
     average_intercluster_distance,
     contiguous_modules,
     intercluster_degree,
@@ -19,6 +18,8 @@ from repro.metrics.clustering import (
     split_modules,
     subcube_modules,
 )
+
+from .oracles import zero_one_intermodule_distances
 
 
 class TestAssignments:
@@ -126,11 +127,12 @@ class TestInterclusterDistances:
         assert intercluster_diameter(nucleus_modules(g)) == 1
 
     def test_quotient_equals_zero_one_bfs(self):
-        """The quotient-graph shortcut must agree with the 0/1-weight BFS."""
+        """On nucleus modules the I-distances are the module-quotient
+        distances and must agree with the scalar 0/1-weight BFS."""
         g = nw.hsn_hypercube(3, 2)
         ma = nucleus_modules(g)
         fast = intercluster_distances(ma)
-        slow = _zero_one_intermodule_distances(ma)
+        slow = zero_one_intermodule_distances(ma)
         assert (fast == slow).all()
 
     def test_zero_one_fallback_on_disconnected_modules(self):
@@ -138,7 +140,7 @@ class TestInterclusterDistances:
         r = nw.ring(8)
         ma = ModuleAssignment(r, np.arange(8) % 2)
         assert not ma.modules_internally_connected()
-        d = intercluster_distances(ma)  # falls back automatically
+        d = intercluster_distances(ma)  # exact on any assignment
         assert d[0, 1] == 1 and d[0, 0] == 0
 
     def test_average_i_distance_hcn(self):
