@@ -1,6 +1,6 @@
 """Disabled-path overhead of the observability layer (<2% budget).
 
-Compares the instrumented :func:`repro.core.fastclosure.build_ip_graph_fast`
+Compares the instrumented :func:`repro.core.ipgraph.build_ip_graph`
 (with :mod:`repro.obs` disabled, the default) against a verbatim copy of the
 pre-instrumentation closure kept below as the baseline.  Asserts the
 median of paired instrumented/baseline ratios stays under 2% — the
@@ -20,8 +20,7 @@ import time
 
 import numpy as np
 
-from repro.core.fastclosure import _encode_seed, _void_view, build_ip_graph_fast
-from repro.core.ipgraph import Generator, IPGraph
+from repro.core.ipgraph import Generator, IPGraph, _encode_seed, _void_view, build_ip_graph
 from repro.core.permutation import transposition
 
 THRESHOLD = 0.02
@@ -142,7 +141,7 @@ def measure(rounds: int = ROUNDS) -> dict:
     gens = [transposition(STAR_K, 0, i) for i in range(1, STAR_K)]
 
     # sanity: both paths build the same graph
-    g = build_ip_graph_fast(seed, gens)
+    g = build_ip_graph(seed, gens)
     b = _baseline_build(seed, gens)
     nodes = b.num_nodes
     assert g.num_nodes == nodes
@@ -152,10 +151,10 @@ def measure(rounds: int = ROUNDS) -> dict:
 
     # warm-up both paths, then measure in pairs
     _baseline_build(seed, gens)
-    build_ip_graph_fast(seed, gens)
+    build_ip_graph(seed, gens)
     ratio, base, inst = _paired_overhead(
         lambda: _baseline_build(seed, gens),
-        lambda: build_ip_graph_fast(seed, gens),
+        lambda: build_ip_graph(seed, gens),
         rounds,
     )
     overhead = ratio - 1.0

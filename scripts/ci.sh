@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Full CI gate: static analysis + tier-1 test suite + overhead budgets +
-# example smoke tests.
+# Full CI gate: static analysis + tier-1 test suite + benchmark harness
+# tests + overhead budgets + example smoke tests.
 #
 # Usage:  scripts/ci.sh
 set -euo pipefail
@@ -48,6 +48,10 @@ fi
 echo
 echo "== tier-1 tests =="
 python -m pytest -x -q
+
+echo
+echo "== benchmark harness tests (perfbench/ lies outside tier-1 testpaths) =="
+python -m pytest perfbench/tests -q
 
 echo
 echo "== observability disabled-path overhead budget (<2%) =="

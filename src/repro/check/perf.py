@@ -109,11 +109,6 @@ class HotKernel:
 HOT_PERIMETER: tuple[HotKernel, ...] = (
     HotKernel(
         "repro.core.ipgraph.build_ip_graph",
-        "reference BFS closure engine",
-        contracts=(("srcs", "int64"), ("dsts", "int64"), ("gids", "int64")),
-    ),
-    HotKernel(
-        "repro.core.fastclosure.build_ip_graph_fast",
         "batched BFS closure engine",
         contracts=(("known_ids", "int64"), ("frontier_ids", "int64"), ("dst", "int64")),
     ),

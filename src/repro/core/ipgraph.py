@@ -13,13 +13,28 @@ class (HCN, HSN, cyclic-shift networks, de Bruijn, shuffle-exchange, ...).
 
 The engine performs a breadth-first closure of the seed under the generators
 and exposes the resulting graph through the :class:`~repro.core.network.Network`
-interface used by all metric kernels.
+interface used by all metric kernels.  The closure is batched: the action of
+an index permutation on a *batch* of labels is a NumPy column gather, so the
+whole BFS frontier is expanded at once:
+
+* labels live in an ``(N, k)`` integer matrix;
+* applying generator ``p`` to a frontier block ``F`` is ``F[:, p.img]``;
+* deduplication uses byte-view keys with ``searchsorted`` against the
+  sorted known set and ``np.unique`` within the batch — no per-arc Python.
+
+Node ids follow BFS discovery order with generators applied in index order,
+exactly as a label-by-label closure would number them; the test suite
+checks this against a per-label oracle on ~50 randomized seed/generator
+sets (``tests/test_equivalence_random.py``).
+
+When :mod:`repro.obs` is enabled the build reports per-level frontier
+sizes, dedup hit rates and nodes/sec; all instrumentation is guarded so
+the disabled path stays on the vectorized fast path untouched.
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
@@ -139,14 +154,32 @@ class IPGraph(Network):
         return is_vertex_transitive(self)
 
 
-def build_ip_graph(  # repro: noqa[RPR021,RPR022] — reference oracle: deliberately per-label; the batched engine is fastclosure.build_ip_graph_fast
+def _encode_seed(seed: Sequence) -> tuple[np.ndarray, list]:  # repro: noqa[RPR021,RPR022] — runs once per build on the k-symbol seed label, not per node
+    """Map arbitrary hashable symbols to small ints (order of appearance)."""
+    symbols: dict = {}
+    row = []
+    for s in seed:
+        row.append(symbols.setdefault(s, len(symbols)))
+    alphabet = [None] * len(symbols)
+    for s, i in symbols.items():
+        alphabet[i] = s
+    return np.asarray(row, dtype=np.int32), alphabet
+
+
+def _void_view(rows: np.ndarray) -> np.ndarray:
+    """View (n, k) int rows as an (n,) array of fixed-size byte keys."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
+
+
+def build_ip_graph(
     seed: Sequence,
     generators: Iterable[Generator | Permutation],
     name: str = "ip-graph",
     max_nodes: int = 2_000_000,
     directed: bool = False,
 ) -> IPGraph:
-    """Materialize the IP graph of ``(seed, generators)`` by BFS closure.
+    """Materialize the IP graph of ``(seed, generators)`` by batched BFS closure.
 
     Parameters
     ----------
@@ -195,69 +228,120 @@ def build_ip_graph(  # repro: noqa[RPR021,RPR022] — reference oracle: delibera
 
     _reg = obs.registry()
     _profiling = obs.enabled()
-    with obs.span("closure.build.reference", name=name, generators=len(gens)) as sp:
+    with obs.span("closure.build.fast", name=name, generators=len(gens)) as sp:
         t0 = time.perf_counter() if _profiling else 0.0
-        # node ids are assigned in discovery order, so BFS levels occupy
-        # contiguous id ranges; when profiling we detect each level's start
-        # by the first popped id at/past the previous boundary.
-        level_sizes = [1]
-        next_boundary = 1
-        labels: list[Label] = [seed_t]
-        index: dict[Label, int] = {seed_t: 0}
-        srcs: list[int] = []
-        dsts: list[int] = []
-        gids: list[int] = []
-        queue: deque[int] = deque([0])
-        while queue:
-            u = queue.popleft()
-            if _profiling and u == next_boundary:
-                level_sizes.append(len(labels) - next_boundary)
+        level = 0
+        dedup_hits = 0
+
+        seed_row, alphabet = _encode_seed(seed_t)
+        gen_imgs = [np.asarray(g.perm.img, dtype=np.int64) for g in gens]
+        ngen = len(gens)
+
+        rows_blocks = [seed_row[None, :]]
+        known_keys = _void_view(seed_row[None, :]).copy()  # sorted (length 1)
+        known_ids = np.array([0], dtype=np.int64)
+        total = 1
+
+        arc_src: list[np.ndarray] = []
+        arc_dst: list[np.ndarray] = []
+        arc_gen: list[np.ndarray] = []
+
+        frontier = seed_row[None, :]
+        frontier_ids = np.array([0], dtype=np.int64)
+        while len(frontier):
+            f = len(frontier)
+            src_ids = frontier_ids
+            # stacked[i*ngen + gi] = gens[gi](frontier[i]) — the (node,
+            # generator) order a label-by-label closure would visit
+            stacked = np.empty((f * ngen, k), dtype=frontier.dtype)
+            for gi, img in enumerate(gen_imgs):
+                stacked[gi::ngen] = frontier[:, img]
+            keys = _void_view(stacked)
+
+            pos = np.searchsorted(known_keys, keys)
+            pos_c = np.minimum(pos, len(known_keys) - 1)
+            hit = known_keys[pos_c] == keys
+            dst = np.empty(f * ngen, dtype=np.int64)
+            dst[hit] = known_ids[pos_c[hit]]
+
+            miss_idx = np.nonzero(~hit)[0]
+            if len(miss_idx):
+                miss_keys = keys[miss_idx]
+                uniq, first, inv = np.unique(
+                    miss_keys, return_index=True, return_inverse=True
+                )
+                # discovery order = ascending first-occurrence position
+                order = np.argsort(first, kind="stable")
+                rank = np.empty(len(uniq), dtype=np.int64)
+                rank[order] = np.arange(len(uniq))
+                if total + len(uniq) > max_nodes:
+                    raise ValueError(
+                        f"IP graph exceeds max_nodes={max_nodes}; "
+                        "raise the bound explicitly if intended"
+                    )
+                new_ids = total + rank
+                dst[miss_idx] = new_ids[inv]
+                new_rows = stacked[miss_idx[first[order]]]
+                rows_blocks.append(new_rows)
+                # merge the new keys into the sorted known set — once per
+                # BFS level (O(diameter) iterations), not per element
+                merged_keys = np.concatenate([known_keys, uniq])  # repro: noqa[RPR021]
+                merged_ids = np.concatenate([known_ids, new_ids])  # repro: noqa[RPR021]
+                sort = np.argsort(merged_keys, kind="stable")
+                known_keys = merged_keys[sort]
+                known_ids = merged_ids[sort]
+                old_total = total
+                total += len(uniq)
+                frontier = new_rows
+                frontier_ids = np.arange(old_total, total, dtype=np.int64)
+            else:
+                frontier = frontier[:0]
+
+            # record this level's arcs (sources are the frontier we expanded)
+            arc_src.append(np.repeat(src_ids, ngen))
+            arc_dst.append(dst)
+            arc_gen.append(np.tile(np.arange(ngen, dtype=np.int64), f))
+
+            if _profiling:
+                # every arc that did not discover a new node is a dedup hit
+                # (within-batch duplicates included)
+                batch_hits = f * ngen - len(frontier)
+                dedup_hits += batch_hits
+                level += 1
+                _reg.observe("closure.fast.level_frontier", f)
                 obs.trace_instant(
                     "closure.level",
-                    level=len(level_sizes) - 1,
-                    frontier=level_sizes[-1],
+                    level=level - 1,
+                    frontier=f,
+                    expanded=f * ngen,
+                    dedup_hits=batch_hits,
+                    new_nodes=len(frontier),
                 )
-                next_boundary = len(labels)
-            lab = labels[u]
-            for gi, g in enumerate(gens):
-                nxt = g.perm(lab)
-                v = index.get(nxt)
-                if v is None:
-                    v = len(labels)
-                    if v >= max_nodes:
-                        raise ValueError(
-                            f"IP graph exceeds max_nodes={max_nodes}; "
-                            "raise the bound explicitly if intended"
-                        )
-                    index[nxt] = v
-                    labels.append(nxt)
-                    queue.append(v)
-                srcs.append(u)
-                dsts.append(v)
-                gids.append(gi)
+
+        mat = np.concatenate(rows_blocks, axis=0)
+        if alphabet == list(range(len(alphabet))):
+            # symbols are already 0..a-1: skip the per-symbol remapping
+            labels: list[Label] = list(map(tuple, mat.tolist()))
+        else:
+            amap = np.array(alphabet, dtype=object)
+            labels = list(map(tuple, amap[mat].tolist()))
+        edges = np.column_stack(
+            [np.concatenate(arc_src), np.concatenate(arc_dst), np.concatenate(arc_gen)]
+        )
+
         if _profiling:
             dt = time.perf_counter() - t0
-            nodes, arcs = len(labels), len(srcs)
-            dedup_hits = arcs - (nodes - 1)  # every non-discovery arc is a hit
-            _reg.incr("closure.reference.builds")
-            _reg.incr("closure.reference.nodes", nodes)
-            _reg.incr("closure.reference.arcs", arcs)
-            _reg.incr("closure.reference.dedup_hits", dedup_hits)
-            for size in level_sizes:
-                _reg.observe("closure.reference.level_frontier", size)
-            _reg.gauge("closure.reference.nodes_per_sec", nodes / dt if dt else 0.0)
+            arcs = len(edges)
+            _reg.incr("closure.fast.builds")
+            _reg.incr("closure.fast.nodes", total)
+            _reg.incr("closure.fast.arcs", arcs)
+            _reg.incr("closure.fast.dedup_hits", dedup_hits)
+            _reg.gauge("closure.fast.nodes_per_sec", total / dt if dt else 0.0)
             sp.set(
-                nodes=nodes,
+                nodes=total,
                 arcs=arcs,
-                levels=len(level_sizes),
+                levels=level,
                 dedup_hits=dedup_hits,
                 dedup_hit_rate=dedup_hits / arcs if arcs else 0.0,
             )
-        edges = np.column_stack(
-            [
-                np.asarray(srcs, dtype=np.int64),
-                np.asarray(dsts, dtype=np.int64),
-                np.asarray(gids, dtype=np.int64),
-            ]
-        )
     return IPGraph(labels, gens, edges, name=name, seed=seed_t, directed=directed)

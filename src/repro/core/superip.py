@@ -13,9 +13,10 @@ This module provides:
   cyclic shifts → CN, prefix flips → super-flip networks);
 * :func:`build_super_ip_graph` — materialize a (possibly symmetric) super-IP
   graph through the generic IP engine;
-* exact computation of the quantities ``t`` and ``t_S`` of Theorems 4.1/4.3
-  by search over block-arrangement states, and the resulting diameter
-  formulas (Corollary 4.2);
+* one search over block-arrangement states for the shortest fronting
+  schedules, from which the quantities ``t`` and ``t_S`` of Theorems
+  4.1/4.3, the resulting diameter formulas (Corollary 4.2) and the sorting
+  router's schedules all derive;
 * the size formulas of Theorem 3.2 and the symmetric-variant counting of
   Section 3.5.
 """
@@ -25,7 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 from repro.cache.memory import memoize_lru
@@ -48,6 +49,7 @@ __all__ = [
     "build_super_ip_graph",
     "super_ip_size",
     "symmetric_super_ip_size",
+    "fronting_schedules",
     "min_supergen_steps",
     "min_supergen_steps_symmetric",
     "reachable_arrangements",
@@ -240,7 +242,6 @@ def build_super_ip_graph(
     name: str | None = None,
     max_nodes: int = 2_000_000,
     directed: bool = False,
-    engine: str = "fast",
 ) -> IPGraph:
     """Materialize a super-IP graph (or its symmetric variant).
 
@@ -258,9 +259,6 @@ def build_super_ip_graph(
         the super-generators).
     directed:
         Treat arcs as directed (directed cyclic-shift networks).
-    engine:
-        ``"fast"`` (vectorized closure, default) or ``"reference"`` (the
-        plain label-by-label engine); both produce identical graphs.
 
     Returns
     -------
@@ -285,8 +283,6 @@ def build_super_ip_graph(
     if name is None:
         prefix = "sym-" if symmetric else ""
         name = f"{prefix}{sgs.name}(l={l},{nucleus.name})"
-    if engine not in ("fast", "reference"):
-        raise ValueError(f"unknown engine {engine!r}")
 
     # the closure is a pure function of (seed, generator set, flags): consult
     # the artifact cache when one is configured (repro.cache.configure)
@@ -301,7 +297,6 @@ def build_super_ip_graph(
             generators=[(g.name, g.kind, list(g.perm.img)) for g in gens],
             name=name,
             directed=directed,
-            engine=engine,
             max_nodes=max_nodes,
         )
         hit = cache.load_network(key)
@@ -309,16 +304,7 @@ def build_super_ip_graph(
             hit.cache_key = key
             return hit
 
-    if engine == "fast":
-        from .fastclosure import build_ip_graph_fast
-
-        graph = build_ip_graph_fast(
-            seed, gens, name=name, max_nodes=max_nodes, directed=directed
-        )
-    else:
-        graph = build_ip_graph(
-            seed, gens, name=name, max_nodes=max_nodes, directed=directed
-        )
+    graph = build_ip_graph(seed, gens, name=name, max_nodes=max_nodes, directed=directed)
     if cache is not None and key is not None:
         cache.store_network(key, graph)
         graph.cache_key = key
@@ -368,36 +354,64 @@ def symmetric_super_ip_size(nucleus_size: int, sgs: SuperGeneratorSet) -> int:
 # ----------------------------------------------------------------------
 # the quantities t and t_S (Theorems 4.1 / 4.3)
 # ----------------------------------------------------------------------
+def fronting_schedules(
+    sgs: SuperGeneratorSet,
+) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+    """Shortest fronting schedules, one per reachable final arrangement.
+
+    A *fronting schedule* is a sequence of super-generator indices after
+    which every block has occupied the leftmost position at least once (the
+    initially-leftmost block counts immediately).  One BFS over
+    (arrangement, fronted-block set) states yields ``(arrangement,
+    schedule)`` once per arrangement reachable with every block fronted,
+    in BFS order — so schedule lengths never decrease and the first pair
+    is a shortest fronting schedule overall.
+    The search is lazy: a consumer that stops after the first pair pays
+    only for the BFS levels up to it.
+
+    ``arrangement[pos]`` is the initial position of the block that ends at
+    ``pos``.
+    """
+    start_arr = tuple(range(sgs.l))
+    full = (1 << sgs.l) - 1
+    start = (start_arr, 1 << start_arr[0])
+    if start[1] == full:
+        yield start_arr, []
+    perms = sgs.perms()
+    parent: dict = {start: None}
+    queue = deque([start])
+    while queue:
+        state = queue.popleft()
+        arr, vis = state
+        for gi, p in enumerate(perms):
+            nxt_arr = p(arr)
+            key = (nxt_arr, vis | (1 << nxt_arr[0]))
+            if key in parent:
+                continue
+            parent[key] = (state, gi)
+            queue.append(key)
+            # each (arrangement, all fronted) state is reached once, at
+            # its BFS depth
+            if key[1] == full:
+                seq: list[int] = []
+                cur = key
+                while parent[cur] is not None:
+                    cur, g = parent[cur]
+                    seq.append(g)
+                seq.reverse()
+                yield nxt_arr, seq
+
+
 def min_supergen_steps(sgs: SuperGeneratorSet) -> int:
     """Exact ``t`` of Theorem 4.1: the minimum number of super-generator
     applications after which every block has occupied the leftmost position
     at least once (the initially-leftmost block counts immediately).
 
-    Computed by BFS over (arrangement, visited-set) states; for all the
-    paper's families the result is ``l - 1``.
+    The length of the first schedule :func:`fronting_schedules` finds; for
+    all the paper's families the result is ``l - 1``.
     """
-    l = sgs.l
-    perms = sgs.perms()
-    start_arr = tuple(range(l))
-    full = (1 << l) - 1
-    start = (start_arr, 1 << start_arr[0])
-    if start[1] == full:
-        return 0
-    dist = {start: 0}
-    queue = deque([start])
-    while queue:
-        arr, vis = queue.popleft()
-        d = dist[(arr, vis)]
-        for p in perms:
-            nxt_arr = p(arr)
-            nxt_vis = vis | (1 << nxt_arr[0])
-            key = (nxt_arr, nxt_vis)
-            if key in dist:
-                continue
-            if nxt_vis == full:
-                return d + 1
-            dist[key] = d + 1
-            queue.append(key)
+    for _, schedule in fronting_schedules(sgs):
+        return len(schedule)
     raise ValueError(
         "super-generators cannot bring every block to the front "
         "(not a valid super-IP generator set)"
@@ -410,29 +424,7 @@ def min_supergen_steps_symmetric(sgs: SuperGeneratorSet) -> int:
     (a) bring every block to the front at least once and (b) leave the
     blocks in the target arrangement.
     """
-    l = sgs.l
-    perms = sgs.perms()
-    start_arr = tuple(range(l))
-    full = (1 << l) - 1
-    start = (start_arr, 1 << start_arr[0])
-    dist = {start: 0}
-    queue = deque([start])
-    done: dict[tuple[int, ...], int] = {}
-    if start[1] == full:
-        done[start_arr] = 0
-    while queue:
-        arr, vis = queue.popleft()
-        d = dist[(arr, vis)]
-        for p in perms:
-            nxt_arr = p(arr)
-            nxt_vis = vis | (1 << nxt_arr[0])
-            key = (nxt_arr, nxt_vis)
-            if key in dist:
-                continue
-            dist[key] = d + 1
-            if nxt_vis == full and nxt_arr not in done:
-                done[nxt_arr] = d + 1
-            queue.append(key)
+    done = {arr: len(schedule) for arr, schedule in fronting_schedules(sgs)}
     targets = reachable_arrangements(sgs)
     missing = targets - set(done)
     if missing:

@@ -26,7 +26,7 @@ Example::
 
     obs.enable(trace="run.jsonl")
     with obs.span("experiment", network="hsn"):
-        g = build_ip_graph_fast(seed, gens)
+        g = build_ip_graph(seed, gens)
     print(obs.format_report())
     obs.disable()
 """

@@ -1,6 +1,5 @@
 """Routing: the Theorem-4.1 sorting router, family routers, BFS tables."""
 
-from .explicit import ExplicitSuperIPRouter
 from .disjoint import edge_disjoint_paths, node_disjoint_paths, path_diversity
 from .families import (
     debruijn_route,
@@ -14,7 +13,6 @@ from .table import NextHopTable, shortest_path
 __all__ = [
     "debruijn_route",
     "edge_disjoint_paths",
-    "ExplicitSuperIPRouter",
     "ecube_route",
     "NextHopTable",
     "node_disjoint_paths",

@@ -15,305 +15,177 @@ The route length is at most ``l·D_G + t`` (``l·D_G + t_S`` for symmetric
 variants, where the schedule must additionally realize the arrangement the
 destination's block colors demand) — which Theorem 4.1 shows is exactly the
 diameter, so this simple router is worst-case optimal.
+
+One router serves both label encodings of a super graph: IP labels built
+from a :class:`~repro.core.superip.NucleusSpec`, and the tuple-of-state
+labels :func:`repro.networks.hier.explicit_super_graph` builds over any
+nucleus :class:`~repro.core.network.Network` (e.g. the Petersen graph of
+cyclic Petersen networks, which is not a Cayley graph).  The encodings
+differ only in how a block maps to (color, nucleus node id) and back.
 """
 
 from __future__ import annotations
 
-from collections import deque
-
 from repro import obs
 from repro.core.ipgraph import IPGraph
-from repro.core.network import Label
+from repro.core.network import Label, Network
 from repro.core.superip import (
     NucleusSpec,
     SuperGeneratorSet,
+    fronting_schedules,
     min_supergen_steps,
     min_supergen_steps_symmetric,
 )
+from repro.metrics.distances import diameter
+
+from .table import NextHopTable
 
 __all__ = ["SuperIPRouter", "verify_route"]
 
 
-def _schedule_all_fronted(sgs: SuperGeneratorSet) -> list[int]:
-    """Shortest super-generator index sequence bringing every block to the
-    front at least once (the ``t`` witness of Theorem 4.1)."""
-    l = sgs.l
-    perms = sgs.perms()
-    start_arr = tuple(range(l))
-    full = (1 << l) - 1
-    start = (start_arr, 1 << start_arr[0])
-    if start[1] == full:
-        return []
-    parent: dict = {start: (None, -1)}
-    queue = deque([start])
-    while queue:
-        state = queue.popleft()
-        arr, vis = state
-        for gi, p in enumerate(perms):
-            nxt_arr = p(arr)
-            nxt_vis = vis | (1 << nxt_arr[0])
-            key = (nxt_arr, nxt_vis)
-            if key in parent:
-                continue
-            parent[key] = (state, gi)
-            if nxt_vis == full:
-                seq: list[int] = []
-                cur = key
-                while parent[cur][0] is not None:
-                    cur, gi2 = parent[cur][0], parent[cur][1]
-                    seq.append(gi2)
-                seq.reverse()
-                return seq
-            queue.append(key)
-    raise ValueError("super-generators cannot front every block")
-
-
-def _schedules_by_arrangement(sgs: SuperGeneratorSet) -> dict[tuple, list[int]]:
-    """For the symmetric variant: shortest schedule per reachable target
-    arrangement that fronts every block AND ends in that arrangement."""
-    l = sgs.l
-    perms = sgs.perms()
-    start_arr = tuple(range(l))
-    full = (1 << l) - 1
-    start = (start_arr, 1 << start_arr[0])
-    parent: dict = {start: (None, -1)}
-    queue = deque([start])
-    out: dict[tuple, list[int]] = {}
-
-    def extract(key) -> list[int]:
-        seq: list[int] = []
-        cur = key
-        while parent[cur][0] is not None:
-            cur, gi = parent[cur][0], parent[cur][1]
-            seq.append(gi)
-        seq.reverse()
-        return seq
-
-    if start[1] == full:
-        out[start_arr] = []
-    while queue:
-        state = queue.popleft()
-        arr, vis = state
-        for gi, p in enumerate(perms):
-            nxt_arr = p(arr)
-            nxt_vis = vis | (1 << nxt_arr[0])
-            key = (nxt_arr, nxt_vis)
-            if key in parent:
-                continue
-            parent[key] = (state, gi)
-            if nxt_vis == full and nxt_arr not in out:
-                out[nxt_arr] = extract(key)
-            queue.append(key)
-    return out
-
-
 class SuperIPRouter:
-    """Label-sorting router for a (symmetric) super-IP graph.
+    """Label-sorting router for a (symmetric) super graph.
 
-    Parameters must match the graph construction
-    (:func:`repro.core.superip.build_super_ip_graph`): same nucleus, same
-    super-generator set, same ``symmetric`` flag.
+    Parameters must match the graph construction: same nucleus, same
+    super-generator set, same ``symmetric`` flag.  ``nucleus`` is either a
+    :class:`~repro.core.superip.NucleusSpec` (graphs from
+    :func:`repro.core.superip.build_super_ip_graph`) or an explicit nucleus
+    :class:`~repro.core.network.Network` (graphs from
+    :func:`repro.networks.hier.explicit_super_graph`), dispatched as in
+    :func:`repro.networks.hsn.hsn`.
 
     The router works purely on labels — it never searches the (potentially
-    huge) network graph; nucleus-level BFS tables (size ``O(M²)``) are the
-    only precomputation.
+    huge) network graph; a next-hop table over the nucleus (size ``O(M²)``)
+    is the only precomputation.
     """
 
     def __init__(
-        self, nucleus: NucleusSpec, sgs: SuperGeneratorSet, symmetric: bool = False
+        self,
+        nucleus: NucleusSpec | Network,
+        sgs: SuperGeneratorSet,
+        symmetric: bool = False,
     ):
         self.nucleus = nucleus
         self.sgs = sgs
         self.symmetric = symmetric
         self.l = sgs.l
-        self.m = nucleus.m
-        self._nuc_graph = nucleus.build()
-        self._nuc_index = self._nuc_graph.index
-        self._nuc_gens = [g.perm for g in self._nuc_graph.generators]
-        # next-generator table per destination nucleus node (lazy)
-        self._next_gen_cache: dict[int, list[int]] = {}
-        if symmetric:
-            self._schedules = _schedules_by_arrangement(sgs)
-            self.t = min_supergen_steps_symmetric(sgs)
+        self._explicit = not isinstance(nucleus, NucleusSpec)
+        if isinstance(nucleus, NucleusSpec):
+            self.m = nucleus.m
+            self._nuc: Network = nucleus.build()
+            # nucleus moves are forward generator arcs only: on a directed
+            # super graph, or a generator set that is not inverse-closed,
+            # the reverse arc is not a move
+            moves = Network(
+                self._nuc.labels, self._nuc.edges_src, self._nuc.edges_dst,
+                name=self._nuc.name, directed=True,
+            )
         else:
-            self._schedule = _schedule_all_fronted(sgs)
+            self._nuc = moves = nucleus
+        self._table = NextHopTable(moves)
+        self._nucleus_diameter = diameter(self._nuc)
+        found = fronting_schedules(sgs)
+        if symmetric:
+            self.t = min_supergen_steps_symmetric(sgs)
+            self._schedules = dict(found)
+        else:
             self.t = min_supergen_steps(sgs)
+            self._schedules = dict([next(found)])
 
     # ------------------------------------------------------------------
-    # nucleus-level sorting
+    # label encoding: blocks <-> (color, nucleus node id)
     # ------------------------------------------------------------------
-    def _next_gen_table(self, dst_node: int) -> list[int]:
-        """``next_gen[u]`` = nucleus generator moving ``u`` one step closer
-        to ``dst_node`` (−1 at the destination itself)."""
-        cached = self._next_gen_cache.get(dst_node)
-        if cached is not None:
-            obs.registry().incr("routing.superip.table_cache_hits")
-            return cached
-        obs.registry().incr("routing.superip.table_builds")
-        g = self._nuc_graph
-        n = g.num_nodes
-        next_gen = [-1] * n
-        dist = [-1] * n
-        dist[dst_node] = 0
-        q: deque[int] = deque([dst_node])
-        # BFS backwards from dst: if gen gi maps u -> v and v is closer,
-        # then at u we should apply gi.  Explore arcs from each settled v
-        # using inverse generators.
-        inv = [p.inverse() for p in self._nuc_gens]
-        labels = g.labels
-        index = g.index
-        while q:
-            v = q.popleft()
-            for gi, pinv in enumerate(inv):
-                u = index[pinv(labels[v])]
-                if dist[u] == -1:
-                    dist[u] = dist[v] + 1
-                    next_gen[u] = gi
-                    q.append(u)
-        if any(d == -1 for d in dist):
-            raise ValueError("nucleus graph is disconnected")
-        self._next_gen_cache[dst_node] = next_gen
-        return next_gen
-
-    def _sort_front(self, blocks: list[tuple], target_block: tuple) -> list[list[tuple]]:
-        """Nucleus-generator applications turning ``blocks[0]`` into
-        ``target_block``; returns the successive block states (excluding the
-        start)."""
-        cur = blocks[0]
-        dst_node = self._nuc_index[target_block]
-        table = self._next_gen_table(dst_node)
-        states = []
-        while cur != target_block:
-            gi = table[self._nuc_index[cur]]
-            cur = self._nuc_gens[gi](cur)
-            states.append([cur] + blocks[1:])
-        return states
-
-    # ------------------------------------------------------------------
-    # label plumbing
-    # ------------------------------------------------------------------
-    def split(self, label: Label) -> list[tuple]:
+    def split(self, label: Label) -> list:
         """Split a full label into its ``l`` blocks."""
+        if self._explicit:
+            return list(label)
         m = self.m
         return [tuple(label[b * m : (b + 1) * m]) for b in range(self.l)]
 
-    @staticmethod
-    def join(blocks: list[tuple]) -> Label:
+    def join(self, blocks: list) -> Label:
         """Concatenate blocks back into a full label."""
+        if self._explicit:
+            return tuple(blocks)
         return tuple(s for b in blocks for s in b)
 
-    def _color(self, block: tuple) -> int:
-        """Color of a symmetric-variant block (which ``m``-symbol range)."""
-        return min(block) // self.m
+    def _code(self, block) -> tuple[int, int]:
+        """``(color, nucleus node id)`` of one block; the color (which
+        ``m``-symbol range a symmetric-variant block uses) is 0 otherwise."""
+        if self._explicit:
+            return block if self.symmetric else (0, block)
+        color = min(block) // self.m if self.symmetric else 0
+        if color:
+            block = tuple(s - color * self.m for s in block)
+        return color, self._nuc.index[block]
 
-    def _normalize(self, block: tuple) -> tuple:
-        """Map a colored block onto nucleus symbols (subtract the offset)."""
-        c = self._color(block)
-        return tuple(s - c * self.m for s in block)
+    def _block(self, color: int, node: int):
+        """Inverse of :meth:`_code`."""
+        if self._explicit:
+            return (color, node) if self.symmetric else node
+        block = self._nuc.labels[node]
+        return tuple(s + color * self.m for s in block) if color else block
 
     # ------------------------------------------------------------------
     # routing
     # ------------------------------------------------------------------
+    def _plan(self, blocks: list, goal: list[tuple[int, int]]):
+        """The final arrangement (``arr[pos]`` = initial position of the
+        block ending at ``pos``) and the fronting schedule realizing it."""
+        if not self.symmetric:
+            return next(iter(self._schedules.items()))
+        # each block must end where the destination holds its color
+        pos_of_color = {c: pos for pos, (c, _) in enumerate(goal)}
+        arr = [0] * self.l
+        for slot, block in enumerate(blocks):
+            arr[pos_of_color[self._code(block)[0]]] = slot
+        schedule = self._schedules.get(tuple(arr))
+        if schedule is None:
+            raise ValueError("destination arrangement unreachable (invalid label?)")
+        return arr, schedule
+
     def route_labels(self, src: Label, dst: Label) -> list[Label]:
         """Full node-label path from ``src`` to ``dst`` (inclusive).
 
         Guaranteed length ≤ ``l·D_G + t`` (non-symmetric) or
         ``l·D_G + t_S`` (symmetric).
         """
-        reg = obs.registry()
         src, dst = tuple(src), tuple(dst)
-        if src == dst:
-            reg.incr("routing.superip.routes")
-            reg.observe("routing.superip.hops", 0)
-            return [src]
-        blocks = self.split(src)
-        dst_blocks = self.split(dst)
-        if self.symmetric:
-            schedule, d_map = self._symmetric_plan(blocks, dst_blocks)
-        else:
-            schedule = self._schedule
-            d_map = self._final_positions(schedule)
-
         path = [src]
-        perms = self.sgs.perms()
-        # arrangement: arr[pos] = initial slot currently at pos
-        arr = tuple(range(self.l))
-        sorted_slots: set[int] = set()
-
-        def sort_front_to(slot: int):
-            target = dst_blocks[d_map[slot]]
-            if self.symmetric:
-                states = self._sort_front_sym(blocks, target)
-            else:
-                states = self._sort_front(blocks, target)
-            for st in states:
-                blocks[:] = st
-                path.append(self.join(blocks))
-            sorted_slots.add(slot)
-
-        sort_front_to(arr[0])
-        for gi in schedule:
-            p = perms[gi]
-            new_blocks = list(p(tuple(blocks)))
-            new_arr = p(arr)
-            if new_blocks != blocks:
-                blocks[:] = new_blocks
-                path.append(self.join(blocks))
-            else:
-                blocks[:] = new_blocks
-            arr = new_arr
-            slot = arr[0]
-            if slot not in sorted_slots:
-                sort_front_to(slot)
-        if path[-1] != dst:
-            raise RuntimeError("sorting router failed to reach destination")
+        if src != dst:
+            blocks = self.split(src)
+            goal = [self._code(b) for b in self.split(dst)]
+            arr, schedule = self._plan(blocks, goal)
+            final_pos = {slot: pos for pos, slot in enumerate(arr)}
+            perms = self.sgs.perms()
+            # order[pos] = initial position of the block now at pos
+            order = tuple(range(self.l))
+            fronted: set[int] = set()
+            for gi in [None, *schedule]:
+                if gi is not None:
+                    moved = list(perms[gi](tuple(blocks)))
+                    order = perms[gi](order)
+                    if moved != blocks:
+                        blocks = moved
+                        path.append(self.join(blocks))
+                if order[0] in fronted:
+                    continue
+                # first time this block is in front: sort it into the
+                # destination block it will end up as
+                fronted.add(order[0])
+                color, u = self._code(blocks[0])
+                goal_color, v = goal[final_pos[order[0]]]
+                if color != goal_color:
+                    raise RuntimeError("color mismatch during symmetric routing")
+                while u != v:
+                    u = self._table.next_hop(u, v)
+                    blocks[0] = self._block(color, u)
+                    path.append(self.join(blocks))
+            if path[-1] != dst:
+                raise RuntimeError("sorting router failed to reach destination")
+        reg = obs.registry()
         reg.incr("routing.superip.routes")
         reg.observe("routing.superip.hops", len(path) - 1)
         return path
-
-    def _sort_front_sym(self, blocks: list[tuple], target_block: tuple) -> list[list[tuple]]:
-        """Symmetric-variant front sorting: operate on normalized symbols."""
-        cur = blocks[0]
-        c = self._color(cur)
-        if self._color(target_block) != c:
-            raise RuntimeError("color mismatch during symmetric routing")
-        offset = c * self.m
-        cur_n = tuple(s - offset for s in cur)
-        tgt_n = tuple(s - offset for s in target_block)
-        dst_node = self._nuc_index[tgt_n]
-        table = self._next_gen_table(dst_node)
-        states = []
-        while cur_n != tgt_n:
-            gi = table[self._nuc_index[cur_n]]
-            cur_n = self._nuc_gens[gi](cur_n)
-            states.append([tuple(s + offset for s in cur_n)] + blocks[1:])
-        return states
-
-    def _final_positions(self, schedule: list[int]) -> dict[int, int]:
-        """``d_map[slot] = final position`` of the block initially at
-        ``slot`` after applying ``schedule``."""
-        perms = self.sgs.perms()
-        arr = tuple(range(self.l))
-        for gi in schedule:
-            arr = perms[gi](arr)
-        return {slot: pos for pos, slot in enumerate(arr)}
-
-    def _symmetric_plan(self, blocks: list[tuple], dst_blocks: list[tuple]):
-        """Pick the schedule realizing the arrangement the destination's
-        colors demand, and the matching ``d_map``."""
-        src_colors = [self._color(b) for b in blocks]
-        dst_pos_of_color = {self._color(b): i for i, b in enumerate(dst_blocks)}
-        # required: slot i must end at dst position of its color
-        required_d = {i: dst_pos_of_color[c] for i, c in enumerate(src_colors)}
-        # as an arrangement: arr[pos] = slot  =>  arr[required_d[i]] = i
-        arr = [0] * self.l
-        for slot, pos in required_d.items():
-            arr[pos] = slot
-        key = tuple(arr)
-        schedule = self._schedules.get(key)
-        if schedule is None:
-            raise ValueError("destination arrangement unreachable (invalid label?)")
-        return schedule, required_d
 
     def route_nodes(self, graph: IPGraph, src: int, dst: int) -> list[int]:
         """Route between node ids of a built graph; returns node-id path."""
@@ -352,7 +224,7 @@ class SuperIPRouter:
 
     def max_route_length(self) -> int:
         """The Theorem 4.1/4.3 bound ``l·D_G + t``."""
-        return self.l * self.nucleus.diameter() + self.t
+        return self.l * self._nucleus_diameter + self.t
 
 
 def verify_route(graph: IPGraph, path: list[int]) -> bool:

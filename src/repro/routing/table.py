@@ -55,8 +55,9 @@ class NextHopTable:
     """All-pairs next-hop table for shortest-path routing.
 
     ``next_hop[dst, u]`` is the neighbor of ``u`` on a shortest path to
-    ``dst`` (or ``u`` itself when ``u == dst``).  Memory is ``O(N^2)``;
-    construction is chunked BFS.  This is what the packet simulator uses to
+    ``dst`` (or ``u`` itself when ``u == dst``); on a directed network it is
+    an out-neighbor, so routes follow arc directions.  Memory is
+    ``O(N^2)``; construction is chunked BFS.  This is what the packet simulator uses to
     route — deterministic, minimal, and family-agnostic.
 
     Parameters
@@ -66,7 +67,8 @@ class NextHopTable:
     chunk:
         BFS batch size (memory/speed trade-off during construction).
     with_distances:
-        Keep the full hop-distance matrix (``O(N^2)`` int32 extra) so
+        Keep the full hop-distance matrix (``O(N^2)`` int32 extra;
+        ``dist[dst, u]`` is the hop count from ``u`` to ``dst``) so
         :meth:`next_hops` / :meth:`distance` work.  Required by the
         fault-aware router's alternate-minimal-hop search.
     allow_unreachable:
@@ -93,6 +95,9 @@ class NextHopTable:
         n = net.num_nodes
         csr = net.adjacency_csr()
         indptr, indices = csr.indptr, csr.indices
+        # hop counts *to* each destination: a BFS from dst over the
+        # transposed arcs (the same graph when undirected)
+        to_dst = csr.T.tocsr() if net.directed else csr
         self.net = net
         self._indptr = indptr
         self._indices = indices
@@ -116,16 +121,26 @@ class NextHopTable:
                 # reduceat offsets, int32 candidate ids, and each arc's
                 # source node (so the closer-test is two gathers, not a
                 # per-row np.repeat)
-                starts = np.minimum(indptr[:-1], nnz - 1)
+                starts = indptr[:-1]
                 cand_ids = indices.astype(np.int32)
                 arc_src = np.repeat(np.arange(n), arc_counts)
+                arc_dst = indices
                 sentinel = np.int32(n)
+                if starts[-1] == nnz:
+                    # isolated nodes after the last node with arcs start
+                    # their reduceat segment at nnz: one padding arc, never
+                    # closer (0 vs 0), keeps those starts in range so the
+                    # last node with arcs reduces over all of its arcs
+                    pad = np.zeros(1, dtype=np.int32)
+                    arc_src = np.concatenate([arc_src, pad])
+                    arc_dst = np.concatenate([arc_dst, pad])
+                    cand_ids = np.concatenate([cand_ids, pad + sentinel])
             # keep the (rows × arcs) int32 intermediates cache-resident —
             # past L2 the batched form loses to per-row gathers
             rows_per = max(1, min(chunk, (1 << 15) // max(nnz, 1)))
             for start in range(0, n, chunk):
                 dsts = np.arange(start, min(start + chunk, n))
-                dist = bfs_distances(csr, dsts)  # distances FROM dst (undirected)
+                dist = bfs_distances(to_dst, dsts)
                 if (dist < 0).any() and not allow_unreachable:
                     row, u = np.argwhere(dist < 0)[0]
                     raise RoutingError(
@@ -146,7 +161,7 @@ class NextHopTable:
                     d = dist[s : s + rows_per]
                     # per-arc test, all rows at once: does this neighbor sit
                     # one step closer to each row's dst?
-                    closer = d[:, indices] == d[:, arc_src] - 1
+                    closer = d[:, arc_dst] == d[:, arc_src] - 1
                     # smallest eligible neighbor id per node (n = sentinel)
                     candidates = np.where(closer, cand_ids[None, :], sentinel)
                     nh = np.minimum.reduceat(candidates, starts, axis=1)

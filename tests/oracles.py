@@ -1,7 +1,8 @@
-"""Brute-force oracles shared by the distance-kernel tests.
+"""Brute-force oracles shared by the closure and distance-kernel tests.
 
-Deliberately scalar and independent of :mod:`repro.metrics.distances`:
-each walks the CSR arrays one node at a time.
+Deliberately scalar and independent of the kernels they check: the IP
+closure applies generators one label at a time, and the 0/1-BFS walks the
+CSR arrays one node at a time.
 """
 
 from __future__ import annotations
@@ -9,6 +10,54 @@ from __future__ import annotations
 from collections import deque
 
 import numpy as np
+
+from repro.core.ipgraph import Generator, IPGraph
+
+
+def build_ip_graph_reference(
+    seed, generators, name="ip-graph", max_nodes=2_000_000, directed=False
+) -> IPGraph:
+    """Per-label BFS closure of ``(seed, generators)``.
+
+    Node ids are assigned in discovery order, generators applied in index
+    order, one arc per (node, generator) — the numbering and arc list
+    :func:`repro.core.ipgraph.build_ip_graph` must reproduce.
+    """
+    gens = [g if isinstance(g, Generator) else Generator(g) for g in generators]
+    seed_t = tuple(seed)
+    labels = [seed_t]
+    index = {seed_t: 0}
+    srcs: list[int] = []
+    dsts: list[int] = []
+    gids: list[int] = []
+    queue: deque[int] = deque([0])
+    while queue:
+        u = queue.popleft()
+        lab = labels[u]
+        for gi, g in enumerate(gens):
+            nxt = g.perm(lab)
+            v = index.get(nxt)
+            if v is None:
+                v = len(labels)
+                if v >= max_nodes:
+                    raise ValueError(
+                        f"IP graph exceeds max_nodes={max_nodes}; "
+                        "raise the bound explicitly if intended"
+                    )
+                index[nxt] = v
+                labels.append(nxt)
+                queue.append(v)
+            srcs.append(u)
+            dsts.append(v)
+            gids.append(gi)
+    edges = np.column_stack(
+        [
+            np.asarray(srcs, dtype=np.int64),
+            np.asarray(dsts, dtype=np.int64),
+            np.asarray(gids, dtype=np.int64),
+        ]
+    )
+    return IPGraph(labels, gens, edges, name=name, seed=seed_t, directed=directed)
 
 
 def zero_one_intermodule_distances(assignment) -> np.ndarray:

@@ -455,10 +455,10 @@ class TestPerimeter:
         for kernel in HOT_PERIMETER:
             assert kernel.qualname in per.reached, kernel.qualname
         # helpers reached through typed edges join the perimeter
-        assert "repro.core.fastclosure._void_view" in per.reached
+        assert "repro.core.ipgraph._void_view" in per.reached
         assert (
-            per.reached["repro.core.fastclosure._void_view"]
-            == "repro.core.fastclosure.build_ip_graph_fast"
+            per.reached["repro.core.ipgraph._void_view"]
+            == "repro.core.ipgraph.build_ip_graph"
         )
         # cold construction/workload layers stay out
         assert "repro.networks.registry.build" not in per.reached

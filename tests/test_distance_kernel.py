@@ -7,7 +7,8 @@
   distance summary, exactly equal to reductions of the dense matrix;
 * 0/1 mode — :func:`intercluster_distances` against the scalar 0/1-BFS
   in :mod:`tests.oracles`;
-* :class:`NextHopTable` against tables derived from csgraph distances.
+* :class:`NextHopTable` against tables derived from csgraph distances,
+  directed families included (hops are out-arcs toward ``dst``).
 """
 
 import numpy as np
@@ -402,6 +403,36 @@ class TestNextHopTable:
         built = NextHopTable(net, with_distances=True)
         assert np.array_equal(built.table, table)
         assert np.array_equal(built.dist, dist)
+
+    @pytest.mark.parametrize("name", DIRECTED)
+    def test_directed_tables_follow_out_arcs(self, name):
+        net = NETWORKS[name]
+        n = net.num_nodes
+        built = NextHopTable(net, with_distances=True)  # strict: must not raise
+        assert (built.table >= 0).all()
+        # dist[dst, u] is the hop count from u to dst along out-arcs
+        assert np.array_equal(built.dist, oracle(net, np.arange(n)).T)
+        csr = net.adjacency_csr()
+        for dst in range(n):
+            for u in range(n):
+                v = int(built.table[dst, u])
+                if u == dst:
+                    assert v == dst
+                    continue
+                assert v in csr.indices[csr.indptr[u] : csr.indptr[u + 1]]
+                assert built.dist[dst, v] == built.dist[dst, u] - 1
+
+    def test_isolated_tail_keeps_the_last_arc(self):
+        # nodes 2 and 4 are isolated; node 3 is the last node with arcs
+        net = Network([(i,) for i in range(5)], [0, 1, 0], [3, 3, 1])
+        built = NextHopTable(net, allow_unreachable=True)
+        assert built.table.tolist() == [
+            [0, 0, -1, 0, -1],
+            [1, 1, -1, 1, -1],
+            [-1, -1, 2, -1, -1],
+            [3, 3, -1, 3, -1],
+            [-1, -1, -1, -1, 4],
+        ]
 
     def test_disconnected_message_unchanged(self):
         net = Network.from_edge_list(

@@ -6,7 +6,6 @@ import pytest
 
 import repro
 import repro.core.ipgraph
-import repro.core.fastclosure
 
 
 @pytest.mark.parametrize(

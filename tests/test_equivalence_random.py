@@ -1,8 +1,9 @@
-"""Randomized equivalence: the vectorized closure must be bit-identical to
-the reference engine on arbitrary (seed, generator) inputs.
+"""Randomized equivalence: the batched closure must be bit-identical to
+the per-label oracle on arbitrary (seed, generator) inputs.
 
-``build_ip_graph_fast``'s docstring promises identical node numbering and
-arc lists; ``tests/test_fastclosure.py`` pins a handful of fixed cases.
+``build_ip_graph`` promises the node numbering and arc list of a
+label-by-label BFS; ``tests/test_fastclosure.py`` pins a handful of fixed
+cases.
 Here we fuzz ~50 seeded-random instances — mixed generator kinds
 (nucleus/super/generic), repeated symbols, non-integer symbols, directed
 closures — and compare every observable of the built graphs.
@@ -12,9 +13,10 @@ import random
 
 import pytest
 
-from repro.core.fastclosure import build_ip_graph_fast
 from repro.core.ipgraph import GENERIC, NUCLEUS, SUPER, Generator, build_ip_graph
 from repro.core.permutation import Permutation
+
+from .oracles import build_ip_graph_reference
 
 N_CASES = 50
 KINDS = (NUCLEUS, SUPER, GENERIC)
@@ -22,7 +24,7 @@ KINDS = (NUCLEUS, SUPER, GENERIC)
 
 def _random_case(rng: random.Random):
     """One random (seed, generators, directed) instance, kept small enough
-    that the pure-python reference engine stays fast (k <= 7)."""
+    that the per-label oracle stays fast (k <= 7)."""
     k = rng.randint(3, 7)
     # repeated symbols with probability 2/3: alphabet smaller than k
     if rng.random() < 2 / 3:
@@ -63,8 +65,8 @@ def _case_params():
 
 @pytest.mark.parametrize("seed,gens,directed", _case_params())
 def test_fast_closure_matches_reference(seed, gens, directed):
-    ref = build_ip_graph(seed, gens, directed=directed)
-    fast = build_ip_graph_fast(seed, gens, directed=directed)
+    ref = build_ip_graph_reference(seed, gens, directed=directed)
+    fast = build_ip_graph(seed, gens, directed=directed)
     assert ref.labels == fast.labels  # identical node order
     assert (ref.edges_src == fast.edges_src).all()
     assert (ref.edges_dst == fast.edges_dst).all()
@@ -80,21 +82,21 @@ def test_fast_closure_matches_reference(seed, gens, directed):
 
 
 def test_equivalence_holds_under_profiling(tmp_path):
-    """Instrumentation must not perturb either engine's output."""
+    """Instrumentation must not perturb the closure's output."""
     from repro import obs
 
     rng = random.Random(7)
     seed, gens, directed = _random_case(rng)
-    ref = build_ip_graph(seed, gens, directed=directed)
+    ref = build_ip_graph_reference(seed, gens, directed=directed)
+    fast = build_ip_graph(seed, gens, directed=directed)
     obs.enable(trace=str(tmp_path / "t.jsonl"))
     try:
-        ref_p = build_ip_graph(seed, gens, directed=directed)
-        fast_p = build_ip_graph_fast(seed, gens, directed=directed)
+        fast_p = build_ip_graph(seed, gens, directed=directed)
     finally:
         obs.disable()
         obs.reset()
-    assert ref.labels == ref_p.labels == fast_p.labels
-    assert (ref.edges_src == ref_p.edges_src).all()
+    assert ref.labels == fast.labels == fast_p.labels
+    assert (fast.edges_src == fast_p.edges_src).all()
     assert (ref.edges_src == fast_p.edges_src).all()
     assert (ref.edges_dst == fast_p.edges_dst).all()
     assert (ref.edges_gen == fast_p.edges_gen).all()

@@ -8,7 +8,7 @@ from repro import metrics as mt
 from repro import networks as nw
 from repro.core.superip import SuperGeneratorSet
 from repro.networks.hier import explicit_super_graph
-from repro.routing import ExplicitSuperIPRouter, verify_route
+from repro.routing import SuperIPRouter, verify_route
 from repro.sim import (
     offered_load_sweep,
     on_off_module_delay,
@@ -28,7 +28,7 @@ class TestExplicitRouter:
         sgs = sgs_factory(l)
         nuc = nw.petersen()
         g = explicit_super_graph(nuc, sgs)
-        r = ExplicitSuperIPRouter(nuc, sgs)
+        r = SuperIPRouter(nuc, sgs)
         bound = r.max_route_length()
         rng = np.random.default_rng(0)
         for _ in range(40):
@@ -44,21 +44,21 @@ class TestExplicitRouter:
         sgs = SuperGeneratorSet.transpositions(2)
         nuc = nw.petersen()
         g = explicit_super_graph(nuc, sgs)
-        r = ExplicitSuperIPRouter(nuc, sgs)
+        r = SuperIPRouter(nuc, sgs)
         assert r.max_route_length() == mt.diameter(g) == 5
 
     def test_trivial(self):
         sgs = SuperGeneratorSet.ring(2)
         nuc = nw.petersen()
         g = explicit_super_graph(nuc, sgs)
-        r = ExplicitSuperIPRouter(nuc, sgs)
+        r = SuperIPRouter(nuc, sgs)
         assert r.route_nodes(g, 5, 5) == [5]
 
     def test_works_with_any_explicit_nucleus(self):
         nuc = nw.cube_connected_cycles(3)
         sgs = SuperGeneratorSet.transpositions(2)
         g = explicit_super_graph(nuc, sgs)
-        r = ExplicitSuperIPRouter(nuc, sgs)
+        r = SuperIPRouter(nuc, sgs)
         path = r.route_nodes(g, 0, g.num_nodes - 1)
         assert verify_route(g, path)
         assert len(path) - 1 <= r.max_route_length()

@@ -1,12 +1,11 @@
-"""Tests for the vectorized IP-graph closure (must be bit-identical to the
-reference engine)."""
+"""Tests for the batched IP-graph closure (must be bit-identical to the
+per-label oracle in :mod:`tests.oracles`)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.fastclosure import build_ip_graph_fast
 from repro.core.ipgraph import build_ip_graph
 from repro.core.permutation import (
     Permutation,
@@ -17,10 +16,12 @@ from repro.core.permutation import (
 from repro.core.superip import SuperGeneratorSet, build_super_ip_graph
 from repro.networks.nuclei import hypercube_nucleus, star_nucleus
 
+from .oracles import build_ip_graph_reference
+
 
 def assert_identical(seed, gens, **kw):
-    a = build_ip_graph(seed, gens, **kw)
-    b = build_ip_graph_fast(seed, gens, **kw)
+    a = build_ip_graph_reference(seed, gens, **kw)
+    b = build_ip_graph(seed, gens, **kw)
     assert a.labels == b.labels
     assert (a.edges_src == b.edges_src).all()
     assert (a.edges_dst == b.edges_dst).all()
@@ -57,22 +58,24 @@ class TestIdentical:
     def test_hsn(self):
         nuc = hypercube_nucleus(2)
         sgs = SuperGeneratorSet.transpositions(3)
-        a = build_super_ip_graph(nuc, sgs, engine="reference")
-        b = build_super_ip_graph(nuc, sgs, engine="fast")
+        b = build_super_ip_graph(nuc, sgs)
+        a = build_ip_graph_reference(b.seed, b.generators)
         assert a.labels == b.labels
         assert (a.edges_src == b.edges_src).all()
+        assert (a.edges_gen == b.edges_gen).all()
 
     def test_symmetric_hsn(self):
         nuc = hypercube_nucleus(2)
         sgs = SuperGeneratorSet.transpositions(2)
-        a = build_super_ip_graph(nuc, sgs, symmetric=True, engine="reference")
-        b = build_super_ip_graph(nuc, sgs, symmetric=True, engine="fast")
+        b = build_super_ip_graph(nuc, sgs, symmetric=True)
+        a = build_ip_graph_reference(b.seed, b.generators)
         assert a.labels == b.labels
 
-    def test_unknown_engine(self):
-        with pytest.raises(ValueError, match="engine"):
+    def test_no_engine_knob(self):
+        # one closure engine: there is no engine= switch
+        with pytest.raises(TypeError, match="engine"):
             build_super_ip_graph(
-                hypercube_nucleus(1), SuperGeneratorSet.ring(2), engine="bogus"
+                hypercube_nucleus(1), SuperGeneratorSet.ring(2), engine="fast"
             )
 
     @settings(max_examples=25, deadline=None)
@@ -95,7 +98,7 @@ class TestIdentical:
 class TestGuards:
     def test_max_nodes(self):
         with pytest.raises(ValueError, match="max_nodes"):
-            build_ip_graph_fast(
+            build_ip_graph(
                 tuple(range(7)),
                 [transposition(7, 0, i) for i in range(1, 7)],
                 max_nodes=100,
@@ -103,12 +106,12 @@ class TestGuards:
 
     def test_no_generators(self):
         with pytest.raises(ValueError):
-            build_ip_graph_fast((0, 1), [])
+            build_ip_graph((0, 1), [])
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
-            build_ip_graph_fast((0, 1, 2), [transposition(2, 0, 1)])
+            build_ip_graph((0, 1, 2), [transposition(2, 0, 1)])
         with pytest.raises(ValueError):
-            build_ip_graph_fast(
+            build_ip_graph(
                 (0, 1), [transposition(2, 0, 1), transposition(3, 0, 1)]
             )

@@ -179,6 +179,21 @@ def test_resolve_bit_identical_to_scalar_walk(family, params):
         assert int(batch.next_hop[i]) == expect_hop
 
 
+def test_resolve_on_directed_rotator_follows_out_arcs():
+    net = networks.build("rotator", n=4)
+    svc = RouteService.from_table(NextHopTable(net, with_distances=True))
+    n = net.num_nodes
+    src, dst = np.divmod(np.arange(n * n), n)
+    batch = svc.resolve(src, dst, paths=True)
+    csr = net.adjacency_csr()
+    for i in range(len(batch)):
+        path = batch.path_list(i)
+        assert path[0] == src[i] and path[-1] == dst[i]
+        assert len(path) - 1 == batch.distance[i]
+        for u, v in zip(path, path[1:]):
+            assert v in csr.indices[csr.indptr[u] : csr.indptr[u + 1]]
+
+
 def test_verify_against_scalar_helper_counts(disk_cache):
     net = networks.build("hypercube", n=4)
     table = cached_next_hop_table(net, with_distances=True)
