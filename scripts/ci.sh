@@ -169,4 +169,8 @@ echo "== runtime shape sanitizer (recorded workload shape contracts) =="
 python -m repro.check shapes --measure --smoke
 
 echo
+echo "== runtime shape sanitizer, full profile (exact shapes: machine-independent) =="
+python -m repro.check shapes --measure
+
+echo
 echo "CI OK"

@@ -26,6 +26,11 @@ model:
   :mod:`repro.check.shapesanitize` (SAN006) recording concrete workload
   shapes/dtypes against committed contracts.
 
+The perf and shape tiers share one perimeter scan loop
+(:func:`repro.check.perf.scan_perimeter`); their runtime halves share
+one workload registry (:data:`repro.check.perfsanitize.WORKLOADS`) and
+one budget/contract file store (``load_profiles`` / ``write_profile``).
+
 Run from the command line::
 
     python -m repro.check lint src
@@ -36,6 +41,7 @@ Run from the command line::
     python -m repro.check perf --measure --smoke
     python -m repro.check shapes src
     python -m repro.check shapes --measure --smoke
+    python -m repro.check shapes --measure
 
 or as ``python -m repro check ...``.  See DESIGN.md for the rule catalog.
 """

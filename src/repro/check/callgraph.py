@@ -394,6 +394,6 @@ def build_callgraph(paths: Iterable[str | Path]) -> CallGraph:
                 if fn.module == scope.modname:
                     _extract_edges(cg, scope, fn)
         reg = obs.registry()
-        reg.incr("check.dataflow.modules", len(cg.modules))
-        reg.incr("check.dataflow.functions", len(cg.functions))
+        reg.incr("check.callgraph.modules", len(cg.modules))
+        reg.incr("check.callgraph.functions", len(cg.functions))
     return cg

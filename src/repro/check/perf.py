@@ -56,7 +56,7 @@ tier (cProfile attribution, SAN004–SAN005) lives in
 from __future__ import annotations
 
 import ast
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -72,6 +72,7 @@ __all__ = [
     "HotKernel",
     "HOT_PERIMETER",
     "hot_path_perimeter",
+    "scan_perimeter",
     "perf_paths",
 ]
 
@@ -883,22 +884,32 @@ class _PerfScan:
 # ----------------------------------------------------------------------
 # orchestrator
 # ----------------------------------------------------------------------
-def perf_paths(
-    paths: Iterable[str | Path], kernels: Iterable[HotKernel] | None = None
-) -> Report:
-    """Run the hot-path performance pass (RPR020–RPR024) over a tree.
+#: ``emit(node, code, message)``: report one finding at ``node``'s line
+Emit = Callable[[ast.AST, str, str], None]
 
-    Builds the call graph, closes the declared hot-path perimeter
-    (``kernels`` defaults to :data:`HOT_PERIMETER`), and scans every
-    perimeter-reachable function.  Findings honour ``# repro:
-    noqa[CODE]`` on their own line *or* on the enclosing ``def`` line
-    (whole-function suppression for deliberately-scalar reference
-    kernels).
+
+def scan_perimeter(
+    paths: Iterable[str | Path],
+    kernels: Iterable[HotKernel],
+    tier: str,
+    scan: Callable[[FunctionNode, FunctionResolver, str, Emit], None],
+) -> Report:
+    """Close the hot perimeter of ``kernels`` and scan every function it
+    reaches — the one scan loop of the perf (RPR020–RPR024) and shape
+    (RPR030–RPR034) tiers.
+
+    Builds the call graph of ``paths``, closes :func:`hot_path_perimeter`
+    and calls ``scan(fn, resolver, origin, emit)`` on every reachable
+    function in qualname order (``origin`` is the kernel root it was
+    reached from).  ``emit`` reports a finding once per ``(file, line,
+    code)`` and honours ``# repro: noqa[CODE]`` on the finding's own line
+    *or* on the enclosing ``def`` line (whole-function suppression for
+    deliberately-scalar reference kernels).  The pass runs under span
+    ``check.<tier>`` and counts ``check.<tier>.{reachable,findings,
+    suppressed}``.
     """
-    kernels = tuple(kernels) if kernels is not None else HOT_PERIMETER
-    contracts_by_root = {k.qualname: dict(k.contracts) for k in kernels}
     report = Report()
-    with obs.span("check.perf"):
+    with obs.span(f"check.{tier}"):
         cg = build_callgraph(paths)
         perimeter = hot_path_perimeter(cg, kernels)
         noqa_cache: dict[str, dict[int, frozenset[str] | None]] = {}
@@ -908,10 +919,6 @@ def perf_paths(
         for qual in sorted(perimeter.reached):
             fn = cg.functions[qual]
             scope = cg.modules[fn.module]
-            resolver = FunctionResolver(cg, scope, fn)
-            origin = perimeter.reached[qual]
-            tag = f"hot via {origin}"
-            contracts = contracts_by_root.get(origin, {})
             noqa = noqa_cache.setdefault(fn.path, _noqa_map(scope.source))
 
             def emit(
@@ -926,20 +933,41 @@ def perf_paths(
                 key = (_fn.path, lineno, code)
                 if key in seen:
                     return
+                seen.add(key)
                 for ln in (lineno, _fn.lineno):
                     mask = _noqa.get(ln, frozenset())
                     if mask is None or code in mask:
-                        seen.add(key)
                         suppressed += 1
                         return
-                seen.add(key)
                 report.add(Finding(_fn.path, lineno, code, message))
 
-            _PerfScan(fn, resolver, tag, contracts, emit).run()
+            scan(fn, FunctionResolver(cg, scope, fn), perimeter.reached[qual], emit)
             report.checked += 1
 
         reg = obs.registry()
-        reg.incr("check.perf.reachable", len(perimeter.reached))
-        reg.incr("check.perf.findings", len(report.findings))
-        reg.incr("check.perf.suppressed", suppressed)
+        reg.incr(f"check.{tier}.reachable", len(perimeter.reached))
+        reg.incr(f"check.{tier}.findings", len(report.findings))
+        reg.incr(f"check.{tier}.suppressed", suppressed)
     return report
+
+
+def perf_paths(
+    paths: Iterable[str | Path], kernels: Iterable[HotKernel] | None = None
+) -> Report:
+    """Run the hot-path performance pass (RPR020–RPR024) over a tree.
+
+    Scans every function reachable from the declared hot-path perimeter
+    (``kernels`` defaults to :data:`HOT_PERIMETER`) through
+    :func:`scan_perimeter`, checking each against the dtype contracts of
+    the kernel root it was reached from.
+    """
+    kernels = tuple(kernels) if kernels is not None else HOT_PERIMETER
+    contracts_by_root = {k.qualname: dict(k.contracts) for k in kernels}
+
+    def scan(
+        fn: FunctionNode, resolver: FunctionResolver, origin: str, emit: Emit
+    ) -> None:
+        contracts = contracts_by_root.get(origin, {})
+        _PerfScan(fn, resolver, f"hot via {origin}", contracts, emit).run()
+
+    return scan_perimeter(paths, kernels, "perf", scan)

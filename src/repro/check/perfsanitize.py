@@ -25,6 +25,13 @@ and checks two things the AST cannot see:
 profile being run (``smoke`` or ``full``), preserving the other profile's
 entries.  Findings reuse the shared :class:`~repro.check.findings.Report`
 model, so rendering and exit codes match every other tier.
+
+:data:`WORKLOADS` is the one workload registry of the runtime
+sanitizers: each :class:`Workload` prepares its setup once and hands
+back both the timed thunk (SAN004/SAN005 here) and the shape-recording
+thunk that SAN006 (:mod:`repro.check.shapesanitize`) pins.  The budget
+and contract files share one store, :func:`load_profiles` /
+:func:`write_profile`.
 """
 
 from __future__ import annotations
@@ -50,7 +57,8 @@ __all__ = [
     "run_workload",
     "perimeter_frame_index",
     "hot_frames",
-    "load_budgets",
+    "load_profiles",
+    "write_profile",
     "update_budgets",
     "perf_sanitize",
 ]
@@ -73,23 +81,32 @@ _FRAC = 0.10
 # ----------------------------------------------------------------------
 # seeded micro-workloads
 # ----------------------------------------------------------------------
+#: ``(run, record)``: the timed thunk and the shape-recording thunk
+_Thunks = tuple[Callable[[], int], Callable[[], dict]]
+
+
 @dataclass(frozen=True)
 class Workload:
     """One seeded micro-benchmark exercising a perimeter kernel family.
 
     ``prepare(smoke)`` does all setup (network builds, injection draws,
     cached-group materialization) *outside* the measured region and
-    returns a thunk; calling the thunk runs the kernel once and returns
-    the number of units processed (nodes, packets, mask rows, ...).
+    returns two thunks over that one setup:
+
+    * ``run()`` runs the kernel once and returns the number of units
+      processed (nodes, packets, mask rows, ...) — what SAN004/SAN005
+      profile and time;
+    * ``record()`` runs the kernel once and returns the named ndarrays
+      whose geometry SAN006 pins against ``shape_contracts.json``.
     """
 
     name: str
     kernel: str  #: perimeter root qualname this workload exercises
     unit: str  #: what "per-unit" means in the budget file
-    prepare: Callable[[bool], Callable[[], int]]
+    prepare: Callable[[bool], _Thunks]
 
 
-def _wl_closure(smoke: bool) -> Callable[[], int]:
+def _wl_closure(smoke: bool) -> _Thunks:
     from repro.core.ipgraph import build_ip_graph
     from repro.core.permutation import from_cycles
 
@@ -100,10 +117,14 @@ def _wl_closure(smoke: bool) -> Callable[[], int]:
     def run() -> int:
         return build_ip_graph(seed, gens, name="perfsan-star").num_nodes
 
-    return run
+    def record() -> dict:
+        csr = build_ip_graph(seed, gens, name="perfsan-star").adjacency_csr()
+        return {"indptr": csr.indptr, "indices": csr.indices, "data": csr.data}
+
+    return run, record
 
 
-def _wl_routing(smoke: bool) -> Callable[[], int]:
+def _wl_routing(smoke: bool) -> _Thunks:
     from repro.networks import build
     from repro.routing.table import NextHopTable
 
@@ -113,10 +134,15 @@ def _wl_routing(smoke: bool) -> Callable[[], int]:
         NextHopTable(net)
         return net.num_nodes
 
-    return run
+    def record() -> dict:
+        table = NextHopTable(net, with_distances=True)
+        assert table.dist is not None
+        return {"table": table.table, "dist": table.dist}
+
+    return run, record
 
 
-def _wl_sim(smoke: bool) -> Callable[[], int]:
+def _wl_sim(smoke: bool) -> _Thunks:
     import numpy as np
 
     from repro.networks import build
@@ -133,10 +159,15 @@ def _wl_sim(smoke: bool) -> Callable[[], int]:
         sim.run(inj)
         return len(inj)
 
-    return run
+    def record() -> dict:
+        run()
+        csr = net.adjacency_csr()
+        return {"injections": inj, "indptr": csr.indptr, "indices": csr.indices}
+
+    return run, record
 
 
-def _wl_serve(smoke: bool) -> Callable[[], int]:
+def _wl_serve(smoke: bool) -> _Thunks:
     from repro.networks import build
     from repro.routing.table import NextHopTable
     from repro.serve import RouteService
@@ -151,10 +182,21 @@ def _wl_serve(smoke: bool) -> Callable[[], int]:
         svc.resolve(src, dst)
         return count
 
-    return run
+    def record() -> dict:
+        batch = svc.resolve(src, dst, paths=True)
+        assert batch.paths is not None
+        return {
+            "src": batch.src,
+            "dst": batch.dst,
+            "next_hop": batch.next_hop,
+            "distance": batch.distance,
+            "paths": batch.paths,
+        }
+
+    return run, record
 
 
-def _wl_percolation(smoke: bool) -> Callable[[], int]:
+def _wl_percolation(smoke: bool) -> _Thunks:
     import numpy as np
 
     from repro.fault.percolation import masked_components
@@ -169,10 +211,16 @@ def _wl_percolation(smoke: bool) -> Callable[[], int]:
         masked_components(net, node_alive=node_alive)
         return batch * net.num_nodes
 
-    return run
+    def record() -> dict:
+        labels = masked_components(net, node_alive=node_alive)
+        return {"node_alive": node_alive, "labels": labels}
+
+    return run, record
 
 
-def _wl_orbits(smoke: bool) -> Callable[[], int]:
+def _wl_orbits(smoke: bool) -> _Thunks:
+    import numpy as np
+
     from repro.fault.orbits import cached_automorphism_group, fault_signature
     from repro.networks import build
 
@@ -187,7 +235,11 @@ def _wl_orbits(smoke: bool) -> Callable[[], int]:
             fault_signature(net, p, group=group)
         return len(patterns)
 
-    return run
+    def record() -> dict:
+        sig = fault_signature(net, (0, 3), group=group)
+        return {"group": group, "signature": np.asarray(sig, dtype=np.int64)}
+
+    return run, record
 
 
 WORKLOADS: tuple[Workload, ...] = (
@@ -255,7 +307,7 @@ def run_workload(w: Workload, smoke: bool = False, repeats: int = 3) -> Measurem
     The warm-up pass absorbs one-time costs (imports, artifact caches)
     so the timed passes see the steady-state kernel.
     """
-    thunk = w.prepare(smoke)
+    thunk, _record = w.prepare(smoke)
     units = thunk()  # warm-up
     best = float("inf")
     for _ in range(max(1, repeats)):
@@ -275,11 +327,13 @@ def run_workload(w: Workload, smoke: bool = False, repeats: int = 3) -> Measurem
 def perimeter_frame_index(
     paths: Iterable[str | Path] = ("src",),
     kernels=None,
-) -> tuple[dict[tuple[str, str], list[int]], str]:
+) -> tuple[dict[tuple[str, str], list[int]], tuple[str, ...]]:
     """Map the statically-closed hot perimeter to profiler frame keys.
 
-    Returns ``((realpath, funcname) -> [def linenos], scan_root)`` for
-    every function the perimeter reaches.  cProfile keys frames by
+    Returns ``((realpath, funcname) -> [def linenos], scan_roots)`` for
+    every function the perimeter reaches; ``scan_roots`` holds the real
+    path of every scanned path, so a frame is in scope when it lies
+    under any of them.  cProfile keys frames by
     ``(filename, co_firstlineno, funcname)``; decorated functions put
     ``co_firstlineno`` on the first decorator, so matching tolerates a
     small lineno offset rather than demanding equality.
@@ -296,8 +350,7 @@ def perimeter_frame_index(
             continue
         key = (os.path.realpath(fn.path), fn.name)
         index.setdefault(key, []).append(fn.lineno)
-    roots = [os.path.realpath(str(p)) for p in paths]
-    return index, roots[0] if roots else ""
+    return index, tuple(os.path.realpath(str(p)) for p in paths)
 
 
 def hot_frames(
@@ -330,26 +383,42 @@ def _frame_in_perimeter(
     funcname: str,
     tolerance: int = 8,
 ) -> bool:
-    linenos = index.get((path, funcname))
-    if not linenos:
-        return False
+    linenos = index.get((path, funcname), ())
     return any(abs(lineno - ln) <= tolerance for ln in linenos)
 
 
-def _under(root: str, path: str) -> bool:
-    return bool(root) and path.startswith(root + os.sep)
+def _under(path: str, *roots: str) -> bool:
+    return any(path.startswith(root + os.sep) for root in roots)
 
 
 # ----------------------------------------------------------------------
-# SAN005: budgets
+# profile files: SAN005 budgets and SAN006 contracts
 # ----------------------------------------------------------------------
-def load_budgets(path: str | Path) -> dict:
-    """Load the budget file; ``{}`` when absent (SAN005 then skips)."""
+def load_profiles(path: str | Path) -> dict:
+    """Load a budget or contract file; ``{}`` when absent (the check then
+    skips)."""
     p = Path(path)
     if not p.exists():
         return {}
     with open(p) as fh:
         return json.load(fh)
+
+
+def write_profile(
+    path: str | Path, profile: str, entries: dict, meta: dict
+) -> dict:
+    """Write ``entries`` (workload -> record) into ``profile`` and merge
+    ``meta`` into ``_meta``, preserving the other profile's entries;
+    returns the written dict."""
+    data = load_profiles(path)
+    data.setdefault("_meta", {}).update(meta)
+    data.setdefault("profiles", {}).setdefault(profile, {}).update(entries)
+    p = Path(path)
+    p.parent.mkdir(parents=True, exist_ok=True)
+    with open(p, "w") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return data
 
 
 def update_budgets(
@@ -360,32 +429,25 @@ def update_budgets(
 ) -> dict:
     """Write measured costs x ``margin`` as the ``profile`` budgets,
     preserving the other profile's entries; returns the written dict."""
-    data = load_budgets(path)
-    data.setdefault("_meta", {}).update(
-        {
-            "margin": margin,
-            "unit": "per_unit_us",
-            "generated_by": "python -m repro.check perf --measure --update-budgets",
-            "note": (
-                "budgets are measured-cost x margin on the recording machine; "
-                "regenerate after intentional kernel changes or hardware moves"
-            ),
-        }
-    )
-    prof = data.setdefault("profiles", {}).setdefault(profile, {})
-    for m in measurements:
-        prof[m.workload] = {
+    entries = {
+        m.workload: {
             "per_unit_us": round(m.per_unit_us * margin, 3),
             "measured_us": round(m.per_unit_us, 3),
             "units": m.units,
             "unit": m.unit,
         }
-    p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    with open(p, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return data
+        for m in measurements
+    }
+    meta = {
+        "margin": margin,
+        "unit": "per_unit_us",
+        "generated_by": "python -m repro.check perf --measure --update-budgets",
+        "note": (
+            "budgets are measured-cost x margin on the recording machine; "
+            "regenerate after intentional kernel changes or hardware moves"
+        ),
+    }
+    return write_profile(path, profile, entries, meta)
 
 
 # ----------------------------------------------------------------------
@@ -415,9 +477,9 @@ def perf_sanitize(
     report = Report()
     reg = obs.registry()
     with obs.span("check.perfsan", profile=profile_name, workloads=len(wls)):
-        index, scan_root = perimeter_frame_index(paths, kernels)
+        index, scan_roots = perimeter_frame_index(paths, kernels)
         budgets = {} if update else (
-            load_budgets(budgets_path).get("profiles", {}).get(profile_name, {})
+            load_profiles(budgets_path).get("profiles", {}).get(profile_name, {})
         )
         measurements: list[Measurement] = []
         for w in wls:
@@ -427,14 +489,14 @@ def perf_sanitize(
 
             # SAN004: hot frames inside the scanned tree, outside the
             # perimeter.  The check harness itself is exempt (it drives
-            # the profiler), as are frames outside the scanned root
+            # the profiler), as are frames outside every scanned root
             # (numpy, scipy, stdlib).
             report.checked += 1
             harness = os.path.realpath(os.path.dirname(__file__))
             for path, lineno, funcname, tt, total in hot_frames(
                 m.profile, floor_s, frac
             ):
-                if not _under(scan_root, path) or _under(harness, path):
+                if not _under(path, *scan_roots) or _under(path, harness):
                     continue
                 if _frame_in_perimeter(index, path, lineno, funcname):
                     continue

@@ -53,13 +53,9 @@ import ast
 from collections.abc import Iterable
 from pathlib import Path
 
-from repro import obs
-
-from .callgraph import FunctionNode, FunctionResolver, build_callgraph
-from .determinism import _parent_map
-from .findings import Finding, Report
-from .lint import _noqa_map
-from .perf import HOT_PERIMETER, HotKernel, _LocalTypes, hot_path_perimeter
+from .callgraph import FunctionNode, FunctionResolver
+from .findings import Report
+from .perf import HOT_PERIMETER, Emit, HotKernel, scan_perimeter
 from .shapeinfer import ShapeInterp, parse_shape, unify_shapes
 
 __all__ = [
@@ -136,8 +132,6 @@ class _AliasScan:
         self.resolver = resolver
         self.tag = tag
         self.emit = emit
-        self.types = _LocalTypes(fn, resolver)
-        self.parents = _parent_map(fn.node)
         self.readonly: set[str] = set()
         self.views: dict[str, str] = {}
 
@@ -217,11 +211,15 @@ class _AliasScan:
         return None
 
     # -- writes ---------------------------------------------------------
-    def _subscript_root(self, target: ast.expr) -> str | None:
+    def _check_store(self, node: ast.stmt, target: ast.expr) -> None:
+        """A subscript store ``a[...] = ...`` writes into its root name."""
+        if not isinstance(target, ast.Subscript):
+            return
         cur = target
         while isinstance(cur, ast.Subscript):
             cur = cur.value
-        return cur.id if isinstance(cur, ast.Name) else None
+        if isinstance(cur, ast.Name):
+            self._check_write(node, cur.id)
 
     def _check_write(self, node: ast.stmt, root: str) -> None:
         if root in self.readonly:
@@ -259,22 +257,17 @@ class _AliasScan:
                 for target in node.targets:
                     if isinstance(target, ast.Name):
                         self._classify(target.id, node.value)
-                    elif isinstance(target, ast.Subscript):
-                        root = self._subscript_root(target)
-                        if root is not None:
-                            self._check_write(node, root)
+                    else:
+                        self._check_store(node, target)
             elif isinstance(node, ast.AnnAssign):
-                if node.value is not None and isinstance(node.target, ast.Name):
+                if node.value is None:
+                    continue
+                if isinstance(node.target, ast.Name):
                     self._classify(node.target.id, node.value)
-                elif isinstance(node.target, ast.Subscript) and node.value is not None:
-                    root = self._subscript_root(node.target)
-                    if root is not None:
-                        self._check_write(node, root)
+                else:
+                    self._check_store(node, node.target)
             elif isinstance(node, ast.AugAssign):
-                if isinstance(node.target, ast.Subscript):
-                    root = self._subscript_root(node.target)
-                    if root is not None:
-                        self._check_write(node, root)
+                self._check_store(node, node.target)
             elif isinstance(node, ast.Expr):
                 call = node.value
                 if (
@@ -282,15 +275,8 @@ class _AliasScan:
                     and isinstance(call.func, ast.Attribute)
                     and call.func.attr in _MUTATING_METHODS
                     and isinstance(call.func.value, ast.Name)
-                    and (
-                        call.func.value.id in self.readonly
-                        or call.func.value.id in self.views
-                        or self.types.is_array(call.func.value)
-                    )
                 ):
-                    name = call.func.value.id
-                    if name in self.readonly or name in self.views:
-                        self._check_write(node, name)
+                    self._check_write(node, call.func.value.id)
 
 
 # ----------------------------------------------------------------------
@@ -306,40 +292,25 @@ def _parse_contracts(kernel: HotKernel) -> dict[str, tuple]:
     return {name: parse_shape(spec) for name, spec in kernel.shape}
 
 
-def _check_contracts(
-    kernel: HotKernel, interp: ShapeInterp, declared: dict, tag: str, emit
-) -> None:
+def _check_contracts(interp: ShapeInterp, declared: dict, tag: str, emit) -> None:
     """RPR034: every observed binding / return against the declarations.
 
     One shared symbol table spans all of the kernel's declarations, so
     two names both declared ``(q,)`` must resolve to provably consistent
     extents — that *relation* is most of a shape contract's value.
+    Returns are checked after every binding, under the name ``"return"``
+    (a keyword, so no binding can carry it).
     """
     bindings: dict = {}
-    ret_decl = declared.get("return")
-    for node, name, shape in interp.bindings:
+    returns = [(node, "return", shape) for node, shape in interp.returns]
+    for node, name, shape in [*interp.bindings, *returns]:
         want = declared.get(name)
         if want is None or shape is None:
             continue
         conflict = unify_shapes(want, shape, bindings)
         if conflict is not None:
-            emit(
-                node,
-                "RPR034",
-                f"shape contract drift on `{name}`: {conflict} [{tag}]",
-            )
-    if ret_decl is not None:
-        for node, shape in interp.returns:
-            if shape is None:
-                continue
-            conflict = unify_shapes(ret_decl, shape, bindings)
-            if conflict is not None:
-                emit(
-                    node,
-                    "RPR034",
-                    f"shape contract drift on the return value: {conflict} "
-                    f"[{tag}]",
-                )
+            what = "the return value" if name == "return" else f"`{name}`"
+            emit(node, "RPR034", f"shape contract drift on {what}: {conflict} [{tag}]")
 
 
 # ----------------------------------------------------------------------
@@ -350,15 +321,14 @@ def shape_paths(
 ) -> Report:
     """Run the shape pass (RPR030–RPR034) over a tree.
 
-    Builds the call graph, closes the shape perimeter (``kernels``
-    defaults to :data:`~repro.check.perf.HOT_PERIMETER` plus
-    :data:`SERVE_SHAPE_ROOTS`; fixture tests pass their own), and
-    interprets every perimeter-reachable function under
-    :class:`~repro.check.shapeinfer.ShapeInterp`.  Declared shape
-    contracts are seeded into — and checked against (RPR034) — the
-    kernel *root* function only; symbols in an inner helper are a
-    different namespace.  Findings honour ``# repro: noqa[CODE]`` on
-    their own line or the enclosing ``def`` line.
+    Interprets every function reachable from the shape perimeter
+    (``kernels`` defaults to :data:`~repro.check.perf.HOT_PERIMETER` plus
+    :data:`SERVE_SHAPE_ROOTS`; fixture tests pass their own) under
+    :class:`~repro.check.shapeinfer.ShapeInterp`, through the perf tier's
+    :func:`~repro.check.perf.scan_perimeter` loop (same ``noqa``
+    handling).  Declared shape contracts are seeded into — and checked
+    against (RPR034) — the kernel *root* function only; symbols in an
+    inner helper are a different namespace.
     """
     kernels = (
         tuple(kernels)
@@ -366,61 +336,24 @@ def shape_paths(
         else HOT_PERIMETER + SERVE_SHAPE_ROOTS
     )
     kernels_by_qual = {k.qualname: k for k in kernels}
-    report = Report()
-    with obs.span("check.shapes"):
-        cg = build_callgraph(paths)
-        perimeter = hot_path_perimeter(cg, kernels)
-        noqa_cache: dict[str, dict[int, frozenset[str] | None]] = {}
-        seen: set[tuple[str, int, str]] = set()
-        suppressed = 0
 
-        for qual in sorted(perimeter.reached):
-            fn = cg.functions[qual]
-            scope = cg.modules[fn.module]
-            resolver = FunctionResolver(cg, scope, fn)
-            origin = perimeter.reached[qual]
-            tag = f"hot via {origin}"
-            noqa = noqa_cache.setdefault(fn.path, _noqa_map(scope.source))
+    def scan(
+        fn: FunctionNode, resolver: FunctionResolver, origin: str, emit: Emit
+    ) -> None:
+        tag = f"hot via {origin}"
+        kernel = kernels_by_qual.get(fn.qualname)
+        declared = _parse_contracts(kernel) if kernel is not None else {}
+        interp = ShapeInterp(
+            fn.node,
+            resolver,
+            seed_shapes={k: v for k, v in declared.items() if k != "return"},
+            on_issue=lambda node, issue: emit(
+                node, _ISSUE_CODES[issue.kind], f"{issue.detail} [{tag}]"
+            ),
+        )
+        interp.run()
+        if declared:
+            _check_contracts(interp, declared, tag, emit)
+        _AliasScan(fn, resolver, tag, emit).run()
 
-            def emit(
-                node: ast.AST,
-                code: str,
-                message: str,
-                _noqa=noqa,
-                _fn=fn,
-            ) -> None:
-                nonlocal suppressed
-                lineno = getattr(node, "lineno", 0)
-                key = (_fn.path, lineno, code)
-                if key in seen:
-                    return
-                for ln in (lineno, _fn.lineno):
-                    mask = _noqa.get(ln, frozenset())
-                    if mask is None or code in mask:
-                        seen.add(key)
-                        suppressed += 1
-                        return
-                seen.add(key)
-                report.add(Finding(_fn.path, lineno, code, message))
-
-            kernel = kernels_by_qual.get(qual)
-            declared = _parse_contracts(kernel) if kernel is not None else {}
-            interp = ShapeInterp(
-                fn.node,
-                resolver,
-                seed_shapes={k: v for k, v in declared.items() if k != "return"},
-                on_issue=lambda node, issue, _emit=emit, _tag=tag: _emit(
-                    node, _ISSUE_CODES[issue.kind], f"{issue.detail} [{_tag}]"
-                ),
-            )
-            interp.run()
-            if declared and kernel is not None:
-                _check_contracts(kernel, interp, declared, tag, emit)
-            _AliasScan(fn, resolver, tag, emit).run()
-            report.checked += 1
-
-        reg = obs.registry()
-        reg.incr("check.shapes.reachable", len(perimeter.reached))
-        reg.incr("check.shapes.findings", len(report.findings))
-        reg.incr("check.shapes.suppressed", suppressed)
-    return report
+    return scan_perimeter(paths, kernels, "shapes", scan)

@@ -83,7 +83,9 @@ class SuperIPRouter:
         else:
             self._nuc = moves = nucleus
         self._table = NextHopTable(moves)
-        self._nucleus_diameter = diameter(self._nuc)
+        # D_G in the l·D_G + t bound counts moves: on a one-way nucleus
+        # that is the directed diameter, not the undirected one
+        self._nucleus_diameter = diameter(moves)
         found = fronting_schedules(sgs)
         if symmetric:
             self.t = min_supergen_steps_symmetric(sgs)

@@ -29,7 +29,7 @@ from repro.check import (
 from repro.check.__main__ import main as check_main
 from repro.check.perfsanitize import (
     Workload,
-    load_budgets,
+    load_profiles,
     run_workload,
     update_budgets,
 )
@@ -508,7 +508,7 @@ def _busy_src_workload():
                 from_cycles(6, [(0, 1)])
             return 4000
 
-        return run
+        return run, lambda: {}
 
     return Workload("busy_cold", "app.none", "call", prepare)
 
@@ -518,22 +518,26 @@ def _trivial_workload(name="trivial"):
         def run():
             return 100
 
-        return run
+        return run, lambda: {}
 
     return Workload(name, "app.none", "unit", prepare)
 
 
 class TestPerfSanitize:
     def test_san004_fires_on_hot_function_outside_perimeter(self, tmp_path):
-        r = perf_sanitize(
-            paths=[SRC],
-            workloads=[_busy_src_workload()],
-            budgets_path=tmp_path / "budgets.json",
-            floor_s=0.002,
-        )
-        assert "SAN004" in codes(r)
-        msg = next(f.message for f in r.findings if f.code == "SAN004")
-        assert "from_cycles" in msg
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        # a hot frame under any scanned path is in scope, not just the first
+        for paths in ([SRC], [empty, SRC]):
+            r = perf_sanitize(
+                paths=paths,
+                workloads=[_busy_src_workload()],
+                budgets_path=tmp_path / "budgets.json",
+                floor_s=0.002,
+            )
+            assert "SAN004" in codes(r), paths
+            msg = next(f.message for f in r.findings if f.code == "SAN004")
+            assert "from_cycles" in msg
 
     def test_san005_fires_on_budget_regression_and_clears_after_update(
         self, tmp_path
@@ -556,7 +560,7 @@ class TestPerfSanitize:
         # --update-budgets rewrites with margin; the rerun must be clean
         r2 = perf_sanitize(paths=[SRC], workloads=[w], budgets_path=budgets, update=True)
         assert "SAN005" not in codes(r2)
-        data = load_budgets(budgets)
+        data = load_profiles(budgets)
         assert data["profiles"]["full"]["trivial"]["per_unit_us"] > 0
         r3 = perf_sanitize(paths=[SRC], workloads=[w], budgets_path=budgets)
         assert "SAN005" not in codes(r3)
@@ -567,7 +571,7 @@ class TestPerfSanitize:
         update_budgets(budgets, [m], "smoke")
         m2 = run_workload(_trivial_workload("other"), smoke=False, repeats=1)
         update_budgets(budgets, [m2], "full")
-        data = load_budgets(budgets)
+        data = load_profiles(budgets)
         assert "trivial" in data["profiles"]["smoke"]
         assert "other" in data["profiles"]["full"]
 
@@ -604,8 +608,12 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "RPR020" in out
 
-    def test_repo_src_is_clean(self):
-        assert check_main(["perf", str(SRC)]) == 0
+    def test_repo_src_is_clean(self, capsys):
+        assert check_main(["perf", str(SRC), "--profile"]) == 0
+        # the call-graph pass counts under its own span's name
+        out = capsys.readouterr().out
+        assert "check.callgraph.modules" in out
+        assert "check.dataflow." not in out
 
     def test_help_lists_all_tiers(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -629,6 +637,6 @@ class TestCLI:
     def test_committed_budgets_cover_all_workloads(self):
         from repro.check.perfsanitize import WORKLOADS
 
-        data = load_budgets(BUDGETS)
+        data = load_profiles(BUDGETS)
         for profile in ("smoke", "full"):
             assert set(data["profiles"][profile]) == {w.name for w in WORKLOADS}

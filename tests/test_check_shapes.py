@@ -42,16 +42,12 @@ from repro.check.shapeinfer import (
     stack_shapes,
     unify_shapes,
 )
-from repro.check.shapesanitize import (
-    SHAPE_PROBES,
-    ShapeProbe,
-    load_contracts,
-    record_shapes,
-    update_contracts,
-)
+from repro.check.perfsanitize import WORKLOADS, Workload, load_profiles
+from repro.check.shapesanitize import record_shapes, update_contracts
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 CONTRACTS = Path(__file__).resolve().parents[1] / "benchmarks" / "shape_contracts.json"
+BUDGETS = Path(__file__).resolve().parents[1] / "benchmarks" / "perf_budgets.json"
 
 #: fixture perimeter: one root named ``app.kern.kernel``
 KERNEL = (HotKernel("app.kern.kernel", "fixture kernel"),)
@@ -790,24 +786,30 @@ class TestPerimeter:
 def _probe_fixed(smoke):
     import numpy as np
 
-    return {
-        "grid": np.zeros((3, 4), dtype=np.float64),
-        "ids": np.arange(7, dtype=np.int64),
-    }
+    def record():
+        return {
+            "grid": np.zeros((3, 4), dtype=np.float64),
+            "ids": np.arange(7, dtype=np.int64),
+        }
+
+    return (lambda: 1), record
 
 
 def _probe_drifted(smoke):
     import numpy as np
 
-    # same names, changed geometry/dtype; `ids` vanished, `extra` appeared
-    return {
-        "grid": np.zeros((3, 5), dtype=np.float32),
-        "extra": np.zeros(2, dtype=np.int32),
-    }
+    def record():
+        # same names, changed geometry/dtype; `ids` vanished, `extra` appeared
+        return {
+            "grid": np.zeros((3, 5), dtype=np.float32),
+            "extra": np.zeros(2, dtype=np.int32),
+        }
+
+    return (lambda: 1), record
 
 
-FIXED = ShapeProbe("fixture", "app.kern.kernel", _probe_fixed)
-DRIFTED = ShapeProbe("fixture", "app.kern.kernel", _probe_drifted)
+FIXED = Workload("fixture", "app.kern.kernel", "unit", _probe_fixed)
+DRIFTED = Workload("fixture", "app.kern.kernel", "unit", _probe_drifted)
 
 
 class TestSAN006:
@@ -821,26 +823,26 @@ class TestSAN006:
     def test_uncontracted_workload_is_skipped(self, tmp_path):
         path = tmp_path / "contracts.json"
         report = shape_sanitize(
-            smoke=True, contracts_path=path, update=False, probes=[FIXED]
+            smoke=True, contracts_path=path, update=False, workloads=[FIXED]
         )
         assert report.ok and report.checked == 0
 
     def test_update_then_compare_then_drift(self, tmp_path):
         path = tmp_path / "contracts.json"
         report = shape_sanitize(
-            smoke=True, contracts_path=path, update=True, probes=[FIXED]
+            smoke=True, contracts_path=path, update=True, workloads=[FIXED]
         )
         assert report.ok
-        data = load_contracts(path)
+        data = load_profiles(path)
         assert data["profiles"]["smoke"]["fixture"]["grid"]["shape"] == [3, 4]
 
         report = shape_sanitize(
-            smoke=True, contracts_path=path, update=False, probes=[FIXED]
+            smoke=True, contracts_path=path, update=False, workloads=[FIXED]
         )
         assert report.ok and report.checked == 1
 
         report = shape_sanitize(
-            smoke=True, contracts_path=path, update=False, probes=[DRIFTED]
+            smoke=True, contracts_path=path, update=False, workloads=[DRIFTED]
         )
         assert codes(report) == {"SAN006"}
         msgs = "\n".join(f.message for f in report.findings)
@@ -854,8 +856,8 @@ class TestSAN006:
         update_contracts(
             path, {"other": {"x": {"shape": [1], "dtype": "int64"}}}, "full"
         )
-        shape_sanitize(smoke=True, contracts_path=path, update=True, probes=[FIXED])
-        data = load_contracts(path)
+        shape_sanitize(smoke=True, contracts_path=path, update=True, workloads=[FIXED])
+        data = load_profiles(path)
         assert data["profiles"]["full"]["other"]["x"]["shape"] == [1]
         assert "fixture" in data["profiles"]["smoke"]
 
@@ -863,12 +865,12 @@ class TestSAN006:
         quals = {k.qualname for k in HOT_PERIMETER} | {
             k.qualname for k in SERVE_SHAPE_ROOTS
         }
-        for probe in SHAPE_PROBES:
-            assert probe.kernel in quals, probe.name
+        for w in WORKLOADS:
+            assert w.kernel in quals, w.name
 
     def test_committed_contracts_cover_all_probes(self):
-        data = load_contracts(CONTRACTS)
-        names = {p.name for p in SHAPE_PROBES}
+        data = load_profiles(CONTRACTS)
+        names = {w.name for w in WORKLOADS}
         for profile in ("smoke", "full"):
             prof = data["profiles"][profile]
             assert set(prof) == names
@@ -879,13 +881,16 @@ class TestSAN006:
                     assert isinstance(entry["dtype"], str)
 
     def test_smoke_probes_match_committed_contracts(self):
-        # the cheapest live probe end-to-end: closure_fast against the
-        # committed smoke profile must be drift-free
-        probe = next(p for p in SHAPE_PROBES if p.name == "closure_fast")
-        report = shape_sanitize(
-            smoke=True, contracts_path=CONTRACTS, update=False, probes=[probe]
-        )
-        assert report.ok, report.render()
+        # every registered workload, live end-to-end against the committed
+        # smoke profile: its shapes must be drift-free, and its timed
+        # thunk must process the units the budget file recorded, so the
+        # shared setup cannot be resized silently
+        report = shape_sanitize(smoke=True, contracts_path=CONTRACTS, update=False)
+        assert report.ok and report.checked == len(WORKLOADS), report.render()
+        budgets = load_profiles(BUDGETS)["profiles"]["smoke"]
+        for w in WORKLOADS:
+            run, _record = w.prepare(True)
+            assert run() == budgets[w.name]["units"], w.name
 
 
 # ----------------------------------------------------------------------

@@ -152,8 +152,10 @@ def test_one_way_nucleus_moves_follow_generators():
     """A nucleus whose generator has no inverse in the set (the directed
     3-cycle) on a directed CN: the nucleus step may only apply generators
     forward, so every hop is still an out-arc.  Lengths match the recorded
-    digest; ``max_route_length()`` uses the undirected nucleus diameter, so
-    it does not bound these routes (see ROADMAP item 2)."""
+    digest.  ``max_route_length()`` takes the nucleus diameter over those
+    forward moves (2, where the undirected 3-cycle has 1), so its bound
+    ``3·2 + t = 8`` (``t = 2``) holds for every route and equals the
+    graph's diameter."""
     c3 = NucleusSpec("C3", (0, 1, 2), (cyclic_shift_left(3, 1),))
     g = nw.directed_cn(3, c3)
     r = SuperIPRouter(c3, SGS.directed_ring(3))
@@ -167,3 +169,4 @@ def test_one_way_nucleus_moves_follow_generators():
         lengths.append(len(path) - 1)
     digest = hashlib.sha256(np.asarray(lengths, dtype=np.int64).tobytes()).hexdigest()
     assert digest[:16] == "1355776d2f61649c"
+    assert max(lengths) <= r.max_route_length() == 8
