@@ -43,7 +43,7 @@ def test_bfs_kernel_speed(benchmark):
 def test_next_hop_table_construction(benchmark):
     g = nw.hsn_hypercube(2, 3)
     table = benchmark(NextHopTable, g)
-    assert table.table.shape == (64, 64)
+    assert table.node_table().shape == (64, 64)
 
 
 def test_quotient_construction_speed(benchmark):

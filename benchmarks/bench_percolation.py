@@ -11,7 +11,7 @@ Two promises are held here:
   512-node hypercube must finish in under ``SWEEP_BUDGET_S`` seconds,
   i.e. masked component labeling stays vectorized end to end.
 
-Methodology mirrors ``bench_sim_throughput.py``: GC parked during timing,
+Methodology: GC parked during timing (as in ``bench_sim_throughput.py``),
 best-of-``ROUNDS`` for the timed section.  Results are printed as JSON;
 set ``REPRO_BENCH_TRAJECTORY=<path>`` to append the record to a JSONL
 trajectory file for tracking across commits.

@@ -9,8 +9,12 @@ make million-packet load sweeps routine; this bench holds it to that:
 * **scale** — a 1,000,000-packet run must finish in under 60 s.
 
 Methodology mirrors ``bench_obs_overhead.py``: GC parked during timing,
-best-of-``ROUNDS`` for the fast engine (the slow oracle runs once — it
-dominates wall time).  Results are printed as JSON; set
+and the speedup is the median of ``PAIRS`` interleaved paired ratios —
+each pair times the event core and then the reference back to back, so a
+burst of load on a shared machine slows both halves of one pair instead
+of skewing a lone reference run against a best-of event time.  Every
+pair also asserts the two engines' ``SimStats`` are equal.  Results are
+printed as JSON; set
 ``REPRO_BENCH_TRAJECTORY=<path>`` to append the record to a JSONL
 trajectory file for tracking across commits.
 
@@ -38,7 +42,7 @@ from repro.sim import (
 
 MIN_SPEEDUP = 10.0  # event core vs reference, packets/sec
 MILLION_BUDGET_S = 60.0  # wall-clock budget for the 1M-packet run
-ROUNDS = 3
+PAIRS = 5
 
 # comparison workload: 256-node hypercube, ~104k packets of uniform load
 CMP_LOG2 = 8
@@ -70,25 +74,26 @@ def main() -> int:
     npkt = len(w)
     assert npkt >= 100_000, f"comparison workload too small: {npkt}"
 
-    event_stats = None
+    held = {}
 
     def _event():
-        nonlocal event_stats
-        event_stats = PacketSimulator(net).run(w)
+        held["event"] = PacketSimulator(net).run(w)
 
-    dt_event = min(_timed(_event) for _ in range(ROUNDS))
     ref_sim = ReferencePacketSimulator(net)
-    ref_holder = {}
 
     def _ref():
-        ref_holder["stats"] = ref_sim.run(w)
+        held["ref"] = ref_sim.run(w)
 
-    dt_ref = _timed(_ref)
-    if event_stats != ref_holder["stats"]:
-        print("FAIL: engines disagree on the comparison workload", file=sys.stderr)
-        return 1
+    pairs = []
+    for _ in range(PAIRS):
+        pairs.append((_timed(_event), _timed(_ref)))
+        if held["event"] != held["ref"]:
+            print("FAIL: engines disagree on the comparison workload", file=sys.stderr)
+            return 1
 
-    speedup = dt_ref / dt_event
+    speedup = float(np.median([r / e for e, r in pairs]))
+    dt_event = float(np.median([e for e, _ in pairs]))
+    dt_ref = float(np.median([r for _, r in pairs]))
     pps_event = npkt / dt_event
     pps_ref = npkt / dt_ref
 
@@ -112,6 +117,7 @@ def main() -> int:
         "event_pps": round(pps_event),
         "reference_pps": round(pps_ref),
         "speedup": round(speedup, 2),
+        "speedup_pairs": [round(r / e, 2) for e, r in pairs],
         "million_packets": len(big),
         "million_s": round(dt_big, 2),
         "million_pps": round(len(big) / dt_big),

@@ -22,7 +22,7 @@ __all__ = ["cached_next_hop_table"]
 
 def cached_next_hop_table(
     net: "Network",
-    chunk: int = 64,
+    chunk: int | None = None,
     with_distances: bool = False,
     allow_unreachable: bool = False,
     cache: ArtifactCache | None = None,
@@ -50,10 +50,12 @@ def cached_next_hop_table(
             obs.artifact("routing.next_hop_table", table.to_arrays())
         return table
     # `chunk` is a BFS batching knob: it sets peak memory of the build,
-    # not the table's contents, so artifacts are shared across chunk sizes
+    # not the table's contents, so artifacts are shared across chunk sizes;
+    # `encoding` keeps node-id artifacts of older layouts from loading as ports
     key = cache_key(  # repro: noqa[RPR012]
         "routing.next_hop_table",
         graph=net_key,
+        encoding="ports",
         with_distances=with_distances,
         allow_unreachable=allow_unreachable,
     )
@@ -61,7 +63,7 @@ def cached_next_hop_table(
     if arrays is not None:
         obs.artifact("routing.next_hop_table", arrays)
         return NextHopTable.from_arrays(
-            net, table=arrays["table"], dist=arrays.get("dist")
+            net, ports=arrays["ports"], dist=arrays.get("dist")
         )
     table = NextHopTable(
         net,

@@ -115,13 +115,19 @@ HOT_PERIMETER: tuple[HotKernel, ...] = (
     ),
     HotKernel(
         "repro.routing.table.NextHopTable.__init__",
-        "all-pairs next-hop table construction",
-        contracts=(("nh", "int32"),),
+        "all-pairs next-hop port table: one bit-parallel BFS per chunk, "
+        "ports picked slot by slot and packed into bit-planes",
+        contracts=(("planes", "uint64"), ("reached", "uint64"), ("hit_all", "uint64")),
         shape=(
+            ("arc_counts", "(n,)"),
             ("starts", "(n,)"),
-            ("cand_ids", "(nnz,)"),
             ("dsts", "(r,)"),
         ),
+    ),
+    HotKernel(
+        "repro.routing.table.NextHopTable.node_table",
+        "O(N^2) port -> node-id decode (serve spills, tests)",
+        contracts=(("out", "int32"),),
     ),
     HotKernel(
         "repro.metrics.distances.bfs_distances",

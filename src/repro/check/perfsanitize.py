@@ -137,7 +137,7 @@ def _wl_routing(smoke: bool) -> _Thunks:
     def record() -> dict:
         table = NextHopTable(net, with_distances=True)
         assert table.dist is not None
-        return {"table": table.table, "dist": table.dist}
+        return {"table": table.node_table(), "ports": table.ports, "dist": table.dist}
 
     return run, record
 

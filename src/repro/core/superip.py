@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from repro.cache.memory import memoize_lru
 
 from .ipgraph import NUCLEUS, SUPER, Generator, IPGraph, build_ip_graph
+from .network import Network
 from .permutation import (
     Permutation,
     block_permutation,
@@ -54,6 +55,7 @@ __all__ = [
     "min_supergen_steps_symmetric",
     "reachable_arrangements",
     "diameter_formula",
+    "forward_moves",
     "symmetric_diameter_formula",
 ]
 
@@ -114,10 +116,26 @@ class NucleusSpec:
         return _nucleus_graph_cached(self, max_nodes).num_nodes
 
     def diameter(self, max_nodes: int = 2_000_000) -> int:
-        """Diameter ``D_G`` of the nucleus graph (exact, by BFS)."""
+        """Diameter ``D_G`` of the nucleus graph (exact, by BFS): the
+        forward-move diameter of :func:`forward_moves`, the ``D_G`` of
+        Theorem 4.1."""
         from repro.metrics.distances import diameter
 
-        return diameter(_nucleus_graph_cached(self, max_nodes))
+        return diameter(forward_moves(_nucleus_graph_cached(self, max_nodes)))
+
+
+def forward_moves(graph: Network) -> Network:
+    """A graph as its one-way moves: each stored arc ``u -> v`` and not its
+    reverse (for an IP graph, the generator arcs ``u -> g(u)``).
+
+    Where the generator set is not inverse-closed (a one-way cycle) the
+    reverse of an arc is not a move, so ``D_G`` — the moves a route spends
+    sorting one block — is this graph's directed diameter, not the
+    undirected one.
+    """
+    return Network(
+        graph.labels, graph.edges_src, graph.edges_dst, name=graph.name, directed=True
+    )
 
 
 # Bounded + centrally clearable (repro.cache.clear_memory_caches): a plain

@@ -136,7 +136,7 @@ class ResilientRouter:
         if not tl.node_up_at(dst, t):
             self.unreachable += 1
             return -1, UNREACHABLE, ()
-        primary = int(self.table.table[dst, u])
+        primary = self.table.decode(u, dst)
         if primary >= 0 and self.hop_alive(u, primary, t):
             return primary, PRIMARY, ()
         for v in self.table.next_hops(u, dst):

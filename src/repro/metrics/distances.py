@@ -15,7 +15,8 @@ all-pairs reductions fold each level into per-source maxima and a total.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+import os
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,12 +36,36 @@ __all__ = [
     "is_connected",
     "DistanceSummary",
     "distance_summary",
+    "physical_memory",
+    "require_memory",
 ]
 
 #: words per level's ``(nnz, W)`` gather in reduction sweeps (~256 KiB, cache-resident)
 _GATHER_WORDS = 1 << 15
 #: in-neighbour lists as ``reduceat`` operands (see :func:`_in_arcs`)
 _Arcs = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def physical_memory() -> int | None:
+    """Bytes of physical memory on this machine, or None where
+    ``os.sysconf`` cannot tell."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, OSError, ValueError):
+        return None
+
+
+def require_memory(nbytes: int, what: str) -> None:
+    """Fail fast, before allocating, when ``what`` needs more than the
+    machine's physical memory: a :class:`MemoryError` naming the bytes
+    needed and the table-free alternative."""
+    total = physical_memory()
+    if total is not None and nbytes > total:
+        raise MemoryError(
+            f"{what} needs {nbytes:,} bytes, more than the {total:,} bytes of "
+            f"physical memory; route super-IP graphs table-free with "
+            f"repro.routing.SuperIPRouter"
+        )
 
 
 def as_csr(net: Network | sp.spmatrix) -> sp.csr_matrix:
@@ -72,7 +97,12 @@ def _gather_or(arcs: _Arcs, bits: np.ndarray) -> np.ndarray:
 
 
 def _bit_levels(
-    arcs: _Arcs, nodes: np.ndarray, bits: np.ndarray, width: int, zero_arcs: _Arcs | None = None
+    arcs: _Arcs,
+    nodes: np.ndarray,
+    bits: np.ndarray,
+    width: int,
+    zero_arcs: _Arcs | None = None,
+    step: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
 ) -> Iterator[tuple[int, np.ndarray]]:
     """The bit-parallel level kernel: yields ``(level, new)`` per BFS level.
 
@@ -81,7 +111,10 @@ def _bit_levels(
     ``new`` is an ``(N, W)`` ``uint64`` array of the sources first reaching
     each node at ``level``.  With ``zero_arcs`` every level is closed over
     those (cost-0) arcs before it is yielded, so ``arcs`` are the cost-1
-    steps of a 0/1-weighted search.
+    steps of a 0/1-weighted search.  ``step(frontier, seen)``, when given,
+    replaces the cost-1 step (``_gather_or(arcs, frontier) & ~seen``) with
+    an equivalent one that also records per-arc facts, as the next-hop
+    table's port step does.
     """
     n = len(arcs[1])  # one row start per node
     frontier = np.zeros((n, (width + 63) // 64), dtype=np.uint64)
@@ -99,7 +132,7 @@ def _bit_levels(
             frontier |= grow
         reg.incr("metrics.bfs.levels")
         yield level, frontier
-        frontier = _gather_or(arcs, frontier) & ~seen
+        frontier = _gather_or(arcs, frontier) & ~seen if step is None else step(frontier, seen)
         seen |= frontier
         level += 1
 
@@ -120,6 +153,10 @@ def bfs_distances(
     """
     csr = as_csr(net)
     sources = np.asarray(sources, dtype=np.int64)
+    require_memory(
+        4 * len(sources) * csr.shape[0],
+        f"a ({len(sources)}, {csr.shape[0]}) int32 distance block",
+    )
     dist = np.full((len(sources), csr.shape[0]), -1, dtype=np.int32)
     arcs = _in_arcs(csr)
     for level, new in _bit_levels(arcs, sources, np.arange(len(sources)), len(sources)):

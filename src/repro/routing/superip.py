@@ -32,6 +32,7 @@ from repro.core.network import Label, Network
 from repro.core.superip import (
     NucleusSpec,
     SuperGeneratorSet,
+    forward_moves,
     fronting_schedules,
     min_supergen_steps,
     min_supergen_steps_symmetric,
@@ -76,15 +77,11 @@ class SuperIPRouter:
             # nucleus moves are forward generator arcs only: on a directed
             # super graph, or a generator set that is not inverse-closed,
             # the reverse arc is not a move
-            moves = Network(
-                self._nuc.labels, self._nuc.edges_src, self._nuc.edges_dst,
-                name=self._nuc.name, directed=True,
-            )
+            moves = forward_moves(self._nuc)
         else:
             self._nuc = moves = nucleus
         self._table = NextHopTable(moves)
-        # D_G in the l·D_G + t bound counts moves: on a one-way nucleus
-        # that is the directed diameter, not the undirected one
+        # D_G in the l·D_G + t bound counts moves (NucleusSpec.diameter)
         self._nucleus_diameter = diameter(moves)
         found = fronting_schedules(sgs)
         if symmetric:

@@ -172,7 +172,7 @@ class RouteService:
         return cls(
             table.net.name,
             table.net.num_nodes,
-            [table.table],
+            [table.node_table()],
             (0, table.net.num_nodes),
             dist,
             source="memory",
@@ -184,7 +184,7 @@ class RouteService:
         net: "Network",
         shards: int = 1,
         with_distances: bool = True,
-        chunk: int = 64,
+        chunk: int | None = None,
         cache: "ArtifactCache | None" = None,
     ) -> "RouteService":
         """Open (building on first use) the mmap-shared service for ``net``.
@@ -233,9 +233,11 @@ class RouteService:
             table = cached_next_hop_table(
                 net, chunk=chunk, with_distances=with_distances, cache=cache
             )
+            # serve spills stay node ids: one decode here, none per query
+            nodes = table.node_table()
             for i in missing:
                 lo, hi = row_starts[i], row_starts[i + 1]
-                arrays = {"table": table.table[lo:hi]}
+                arrays = {"table": nodes[lo:hi]}
                 if with_distances:
                     assert table.dist is not None
                     arrays["dist"] = table.dist[lo:hi]

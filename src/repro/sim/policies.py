@@ -49,7 +49,10 @@ class ChannelIndex:
     ``busy_until``/``busy_time`` array is aligned with.  The CSR layout is
     row-major with sorted columns, so the composite key ``u·n + v`` is
     globally sorted and one :func:`np.searchsorted` resolves a whole batch
-    of hops at once.
+    of hops at once.  Table-routed runs never look a hop up — a next-hop
+    table's port *is* the CSR slot — so the maps are built on first use,
+    by node-id routers (custom ``next_hop``, degraded mode, the reference
+    engine).
 
     A hop that is not an arc of the network raises
     :class:`~repro.core.network.RoutingError` naming the offending pair —
@@ -57,7 +60,8 @@ class ChannelIndex:
     """
 
     #: below this node count a dense ``n² -> channel`` table (int64, so
-    #: 32 MiB at the cap) replaces searchsorted in :meth:`lookup_many`
+    #: 32 MiB at the cap) replaces searchsorted in :meth:`lookup_many`;
+    #: it is built on the first call, as :meth:`arc_map` is
     DENSE_NODE_LIMIT = 2048
 
     __slots__ = (
@@ -74,10 +78,6 @@ class ChannelIndex:
         self._keys = self.sources.astype(np.int64) * self._n + self.indices
         self._map: dict[int, int] | None = None
         self._dense: np.ndarray | None = None
-        if 0 < self._n <= self.DENSE_NODE_LIMIT:
-            dense = np.full(self._n * self._n, -1, dtype=np.int64)
-            dense[self._keys] = np.arange(len(self._keys), dtype=np.int64)
-            self._dense = dense
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -123,6 +123,10 @@ class ChannelIndex:
         keys = u * self._n + v
         if not ok.all():
             keys = np.where(ok, keys, 0)  # any in-range stand-in
+        if self._dense is None and 0 < self._n <= self.DENSE_NODE_LIMIT:
+            dense = np.full(self._n * self._n, -1, dtype=np.int64)
+            dense[self._keys] = np.arange(len(self._keys), dtype=np.int64)
+            self._dense = dense
         if self._dense is not None:
             pos = self._dense[keys]
             bad = pos < 0

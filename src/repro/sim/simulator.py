@@ -22,9 +22,12 @@ a packet has at most one pending event, so the arrays *are* the event
 records.  Events sit in a calendar queue (a bucket of packet ids per
 integer cycle; service delays are >= 1, so every new event lands strictly
 in the future).  A whole bucket is retired per step: route lookups are one
-fancy-indexing pass over the next-hop table, channel resolution is one
-``searchsorted`` over the CSR arc keys, and contention resolves per
-channel group as ``base + k·delay`` without touching individual packets.
+gather of *ports* from the next-hop table, and a port is the slot in the
+node's CSR row, so the channel is ``indptr[u] + port`` and the next node
+one more gather, ``indices[channel]``; contention resolves per channel
+group as ``base + k·delay`` without touching individual packets.  Custom
+``next_hop`` routers return node ids, which
+:meth:`~repro.sim.policies.ChannelIndex.lookup_many` maps to channels.
 
 **Ordering contract.**  Within a bucket, events are served in *creation
 order* (FIFO), with the initial injection batch seeded in packet-id
@@ -303,9 +306,12 @@ class PacketSimulator:
         busy_time = np.zeros(len(self.channels), dtype=np.int64)
         delays = self.delays
         mod = self.module_of
-        table = self._table.table if self._table is not None else None
-        lookup_many = self.channels.lookup_many
-        amap = self.channels.arc_map()
+        # the table's ports index CSR rows: channel = indptr[u] + port;
+        # only a custom (node-id) router needs the arc lookup maps
+        ports = self._table.ports if self._table is not None else None
+        amap = self.channels.arc_map() if ports is None else None
+        indptr = self.channels.indptr
+        indices = self.channels.indices
         nh = self.next_hop
         n = self.net.num_nodes
         guard = 4 * self.net.num_nodes + 64
@@ -346,14 +352,16 @@ class PacketSimulator:
                             f"packet {pid} exceeded the hop guard — "
                             f"routing loop?"
                         )
-                    nxt = int(table[dstv, node]) if table is not None else (
-                        int(nh(node, dstv))
-                    )
-                    c = (
-                        amap.get(node * n + nxt) if 0 <= nxt < n else None
-                    )  # range check first: a negative id would alias a key
-                    if c is None:
-                        raise self.channels._missing(node, nxt)
+                    if ports is not None:
+                        c = int(indptr[node]) + int(ports[dstv, node])
+                        nxt = int(indices[c])
+                    else:
+                        nxt = int(nh(node, dstv))
+                        c = (
+                            amap.get(node * n + nxt) if 0 <= nxt < n else None
+                        )  # range check first: a negative id would alias a key
+                        if c is None:
+                            raise self.channels._missing(node, nxt)
                     bu = int(busy_until[c])
                     base = tcur if tcur > bu else bu
                     dl = int(delays[c])
@@ -396,16 +404,16 @@ class PacketSimulator:
                     f"packet {bad} exceeded the hop guard — routing loop?"
                 )
             dsts = dst[act]
-            if table is not None:
-                nxt = table[dsts, nodes].astype(np.int64)
+            if ports is not None:
+                c = indptr[nodes] + ports[dsts, nodes]
+                nxt = indices[c]
             else:
-                nh = self.next_hop
                 nxt = np.fromiter(
                     (nh(int(u), int(d)) for u, d in zip(nodes, dsts)),
                     dtype=np.int64,
                     count=act.size,
                 )
-            c = lookup_many(nodes, nxt)
+                c = self.channels.lookup_many(nodes, nxt)
 
             # contention: group events by channel, preserving creation
             # (seq) order, and stack each group behind the channel's

@@ -11,6 +11,8 @@
   directed families included (hops are out-arcs toward ``dst``).
 """
 
+import functools
+
 import numpy as np
 import pytest
 from scipy.sparse import csgraph
@@ -381,10 +383,12 @@ class TestZeroOneMode:
 # ----------------------------------------------------------------------
 # next-hop tables built on the dense kernel
 # ----------------------------------------------------------------------
+@functools.lru_cache(maxsize=None)
 def oracle_table(net: Network) -> tuple[np.ndarray, np.ndarray]:
-    """Smallest-id neighbour one step closer to each destination."""
+    """Smallest-id out-neighbour one step closer to each destination;
+    ``dist[dst, u]`` is the hop count from ``u`` to ``dst``."""
     n = net.num_nodes
-    dist = oracle(net, np.arange(n))
+    dist = oracle(net, np.arange(n)).T
     csr = net.adjacency_csr()
     table = np.empty((n, n), dtype=np.int32)
     for dst in range(n):
@@ -401,7 +405,7 @@ class TestNextHopTable:
         net = NETWORKS[name]
         table, dist = oracle_table(net)
         built = NextHopTable(net, with_distances=True)
-        assert np.array_equal(built.table, table)
+        assert np.array_equal(built.node_table(), table)
         assert np.array_equal(built.dist, dist)
 
     @pytest.mark.parametrize("name", DIRECTED)
@@ -409,13 +413,14 @@ class TestNextHopTable:
         net = NETWORKS[name]
         n = net.num_nodes
         built = NextHopTable(net, with_distances=True)  # strict: must not raise
-        assert (built.table >= 0).all()
+        table = built.node_table()
+        assert (table >= 0).all()
         # dist[dst, u] is the hop count from u to dst along out-arcs
         assert np.array_equal(built.dist, oracle(net, np.arange(n)).T)
         csr = net.adjacency_csr()
         for dst in range(n):
             for u in range(n):
-                v = int(built.table[dst, u])
+                v = int(table[dst, u])
                 if u == dst:
                     assert v == dst
                     continue
@@ -425,14 +430,18 @@ class TestNextHopTable:
     def test_isolated_tail_keeps_the_last_arc(self):
         # nodes 2 and 4 are isolated; node 3 is the last node with arcs
         net = Network([(i,) for i in range(5)], [0, 1, 0], [3, 3, 1])
-        built = NextHopTable(net, allow_unreachable=True)
-        assert built.table.tolist() == [
-            [0, 0, -1, 0, -1],
-            [1, 1, -1, 1, -1],
-            [-1, -1, 2, -1, -1],
-            [3, 3, -1, 3, -1],
-            [-1, -1, -1, -1, 4],
-        ]
+        for chunk in (1, 2, 64, None):
+            built = NextHopTable(net, chunk=chunk, allow_unreachable=True)
+            assert built.node_table().tolist() == [
+                [0, 0, -1, 0, -1],
+                [1, 1, -1, 1, -1],
+                [-1, -1, 2, -1, -1],
+                [3, 3, -1, 3, -1],
+                [-1, -1, -1, -1, 4],
+            ]
+            assert built.decode(4, 0) == -1 and built.decode(2, 2) == 2
+            with pytest.raises(RoutingError, match="from node 1 to node 2"):
+                built.next_hop(1, 2)
 
     def test_disconnected_message_unchanged(self):
         net = Network.from_edge_list(
@@ -456,3 +465,79 @@ class TestNextHopTable:
             "cannot build a next-hop table on 'tri+1': node 3 is isolated (no arcs); "
             "pass allow_unreachable=True to route within components"
         )
+
+    @pytest.mark.parametrize("chunk", [1, 64, None])
+    @pytest.mark.parametrize("name", sorted(NETWORKS))
+    def test_node_table_matches_oracle_at_every_chunk(self, name, chunk):
+        net = NETWORKS[name]
+        table, dist = oracle_table(net)
+        built = NextHopTable(net, chunk=chunk, with_distances=True)
+        assert np.array_equal(built.node_table(), table)
+        assert np.array_equal(built.dist, dist)
+
+    @pytest.mark.parametrize("name", sorted(NETWORKS))
+    def test_ports_are_slots_of_the_row(self, name):
+        net = NETWORKS[name]
+        n = net.num_nodes
+        built = NextHopTable(net)
+        ports = built.ports
+        assert ports.dtype == np.uint8  # every test network has degree < 255
+        off = ~np.eye(n, dtype=bool)
+        degree = np.broadcast_to(np.diff(net.adjacency_csr().indptr), (n, n))
+        assert (ports[off] < degree[off]).all()
+        assert (np.diagonal(ports) == 254).all()  # the u == dst sentinel
+
+    def test_port_dtype_widens_past_degree_254(self):
+        from repro.routing.table import port_dtype, port_sentinels
+
+        assert port_dtype(254) == np.uint8 and port_dtype(255) == np.uint16
+        assert port_sentinels(np.dtype(np.uint8)) == (254, 255)
+        net = build("complete", n=300)  # degree 299: uint16 ports
+        built = NextHopTable(net)
+        assert built.ports.dtype == np.uint16
+        assert np.array_equal(built.node_table(), oracle_table(net)[0])
+
+    def test_unreachable_entries_decode_to_minus_one(self):
+        net = Network.from_edge_list(
+            [(i,) for i in range(6)],
+            [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)],
+            name="two-triangles",
+        )
+        for chunk in (1, 4, None):
+            built = NextHopTable(net, chunk=chunk, with_distances=True, allow_unreachable=True)
+            table = built.node_table()
+            assert (table[:3, 3:] == -1).all() and (table[3:, :3] == -1).all()
+            assert (built.dist[:3, 3:] == -1).all()
+            assert (built.ports[:3, 3:] == 255).all()
+            with pytest.raises(RoutingError, match="from node 4 to node 0"):
+                built.next_hop(4, 0)
+            with pytest.raises(RoutingError, match="from node 4 to node 0"):
+                built.path(4, 0)
+
+
+class TestMemoryGuard:
+    """Tables and dense distance blocks fail fast when they cannot fit."""
+
+    def test_table_names_bytes_and_the_table_free_router(self, monkeypatch):
+        from repro.metrics import distances
+
+        net = build("hypercube", n=4)
+        monkeypatch.setattr(distances, "physical_memory", lambda: 16 * 16 - 1)
+        with pytest.raises(MemoryError, match="needs 256 bytes") as err:
+            NextHopTable(net)
+        assert "SuperIPRouter" in str(err.value)
+        # ports (1 byte) plus int32 distances (4 bytes) per entry
+        with pytest.raises(MemoryError, match="needs 1,280 bytes"):
+            NextHopTable(net, with_distances=True)
+        monkeypatch.setattr(distances, "physical_memory", lambda: 256)
+        assert NextHopTable(net).ports.shape == (16, 16)
+
+    def test_dense_distance_block(self, monkeypatch):
+        from repro.metrics import distances
+
+        net = build("hypercube", n=4)
+        monkeypatch.setattr(distances, "physical_memory", lambda: 4 * 3 * 16 - 1)
+        with pytest.raises(MemoryError, match=r"\(3, 16\) int32 distance block needs 192 bytes"):
+            bfs_distances(net, [0, 1, 2])
+        monkeypatch.setattr(distances, "physical_memory", lambda: None)
+        assert bfs_distances(net, [0, 1, 2]).shape == (3, 16)

@@ -230,20 +230,46 @@ def test_next_hop_table_cache_round_trip(disk_cache, counters):
     t2 = cached_next_hop_table(g, with_distances=True)
     after = counters()
     assert after.get("cache.hit", 0) == before.get("cache.hit", 0) + 1
-    assert np.array_equal(t1.table, t2.table)
+    assert np.array_equal(t1.node_table(), t2.node_table())
     assert np.array_equal(t1.dist, t2.dist)
     # a different option set is a different artifact
     t3 = cached_next_hop_table(g, with_distances=False)
-    assert np.array_equal(t1.table, t3.table)
+    assert np.array_equal(t1.node_table(), t3.node_table())
     ref = NextHopTable(g, with_distances=True)
-    assert np.array_equal(ref.table, t2.table)
+    assert np.array_equal(ref.node_table(), t2.node_table())
+
+
+def test_next_hop_artifact_is_a_port_table(disk_cache):
+    g = networks.build("hypercube", n=4)
+    cached_next_hop_table(g, with_distances=True)
+    t = cached_next_hop_table(g, with_distances=True)  # loaded from disk
+    ref = NextHopTable(g, with_distances=True)
+    assert t.ports.dtype == np.uint8
+    assert np.array_equal(t.ports, ref.ports)
+    assert t.path(0, 15) == ref.path(0, 15)
+    # a node-id table is never read as ports
+    with pytest.raises(ValueError, match="must be uint8, got int32"):
+        NextHopTable.from_arrays(g, ref.node_table())
+
+
+def test_node_id_artifact_of_an_older_layout_is_not_loaded(disk_cache):
+    g = networks.build("hypercube", n=4)
+    stale = cache_key(
+        "routing.next_hop_table",
+        graph=g.cache_key,
+        with_distances=False,
+        allow_unreachable=False,
+    )
+    disk_cache.store_arrays(stale, {"table": NextHopTable(g).node_table()})
+    t = cached_next_hop_table(g)
+    assert np.array_equal(t.ports, NextHopTable(g).ports)
 
 
 def test_next_hop_table_falls_back_without_cache_key(disk_cache):
     g = networks.ring(8)  # direct factory: no cache_key stamped
     assert g.cache_key is None
     t = cached_next_hop_table(g)
-    assert np.array_equal(t.table, NextHopTable(g).table)
+    assert np.array_equal(t.node_table(), NextHopTable(g).node_table())
 
 
 def test_atomic_store_arrays_round_trip(tmp_path):

@@ -26,7 +26,7 @@ class TestNextHopTableUpgrades:
         table = NextHopTable(net, allow_unreachable=True, with_distances=True)
         assert table.next_hop(0, 1) == 1  # within-component routing works
         assert table.next_hop(2, 3) == 3
-        assert table.table[3, 0] == -1
+        assert table.node_table()[3, 0] == -1
         with pytest.raises(RoutingError, match="node 0 to node 3"):
             table.next_hop(0, 3)
         with pytest.raises(RoutingError, match="different connected components"):

@@ -106,7 +106,7 @@ def test_nonpositive_chunk_rejected_exact_message():
     ):
         NextHopTable(g, chunk=0)
     # chunk=1 is the smallest legal batch and must build a correct table
-    assert np.array_equal(NextHopTable(g, chunk=1).table, NextHopTable(g).table)
+    assert np.array_equal(NextHopTable(g, chunk=1).node_table(), NextHopTable(g).node_table())
 
 
 def test_from_arrays_validates_dist_shape_exact_message():
@@ -116,9 +116,9 @@ def test_from_arrays_validates_dist_shape_exact_message():
         ValueError,
         match=r"distance matrix shape \(4, 4\) does not match 'ring\(8\)' \(8 nodes\)",
     ):
-        NextHopTable.from_arrays(g, t.table, dist=np.zeros((4, 4), dtype=np.int32))
+        NextHopTable.from_arrays(g, t.ports, dist=np.zeros((4, 4), dtype=np.int32))
     # a matching dist still round-trips
-    rt = NextHopTable.from_arrays(g, t.table, dist=t.dist)
+    rt = NextHopTable.from_arrays(g, t.ports, dist=t.dist)
     assert rt.distance(0, 4) == 4
 
 

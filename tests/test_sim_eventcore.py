@@ -266,6 +266,40 @@ class TestChannelIndex:
             idx.lookup_many(np.array([0, 2, 3]), np.array([1, 5, 9]))
 
 
+class TestPortRouting:
+    """The event core routes by next-hop *ports* (CSR slots): it must
+    match the node-id reference engine bit for bit, directed graphs
+    included, on both its vector and its small-bucket scalar path."""
+
+    @pytest.mark.parametrize(
+        "net",
+        [
+            nw.debruijn(2, 4, directed=True),
+            nw.hsn(2, nw.hypercube_nucleus(3)),
+        ],
+        ids=["debruijn-directed", "HSN(2,Q3)"],
+    )
+    @pytest.mark.parametrize("rate", [0.05, 0.6])
+    def test_fingerprint_matches_reference(self, net, rate):
+        from repro.check.sanitize import artifact_fingerprint
+
+        w = uniform_random_array(net, rate, 60, np.random.default_rng(11))
+        core = PacketSimulator(net).run(w)
+        ref = ReferencePacketSimulator(net).run(w)
+        assert core.delivered == len(w)
+        assert artifact_fingerprint(core.as_dict()) == artifact_fingerprint(
+            ref.as_dict()
+        )
+
+    def test_table_routed_run_builds_no_channel_maps(self):
+        net = nw.hsn(2, nw.hypercube_nucleus(3))
+        sim = PacketSimulator(net)
+        sim.run(uniform_random_array(net, 0.5, 40, np.random.default_rng(3)))
+        assert sim.channels._dense is None and sim.channels._map is None
+        sim.channels.lookup_many(np.array([0]), sim.channels.indices[:1])
+        assert sim.channels._dense is not None
+
+
 class TestArrayWorkload:
     def test_array_workload_matches_list_workload(self):
         net = nw.hypercube(4)

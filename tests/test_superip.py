@@ -17,7 +17,7 @@ from repro.core.superip import (
     symmetric_diameter_formula,
     symmetric_super_ip_size,
 )
-from repro.core.permutation import identity, transposition
+from repro.core.permutation import cyclic_shift_left, identity, transposition
 from repro.metrics.distances import diameter
 from repro.networks.nuclei import (
     complete_nucleus,
@@ -57,6 +57,17 @@ class TestNucleusSpecs:
         assert g.num_nodes == size == spec.size()
         assert g.max_degree == deg
         assert spec.diameter() == diam
+
+    def test_one_way_cycle_diameter_counts_forward_moves(self):
+        # the reverse of a one-way generator arc is not a move: the directed
+        # 3-cycle needs 2 moves where its undirected graph has diameter 1
+        c3 = NucleusSpec("C3", (0, 1, 2), (cyclic_shift_left(3, 1),))
+        assert diameter(c3.build()) == 1
+        assert c3.diameter() == 2
+        from repro.networks import directed_cn
+
+        sgs = SuperGeneratorSet.directed_ring(3)
+        assert diameter_formula(c3.diameter(), sgs) == diameter(directed_cn(3, c3)) == 8
 
     def test_distinct_symbols(self):
         assert hypercube_nucleus(2).has_distinct_symbols()
